@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.fft import dct
 
 
@@ -44,12 +45,12 @@ def _fold(frames: np.ndarray) -> np.ndarray:
 
 def _unfold(folded: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`_fold`: N points back to 2N samples."""
-    n = folded.shape[-1]
-    half = n // 2
-    v1 = folded[..., :half]
-    v2 = folded[..., half:]
+    half = folded.shape[-1] // 2
+    neg = -folded  # one negation serves three quarters
+    n1 = neg[..., :half]
     return np.concatenate(
-        [v2, -v2[..., ::-1], -v1[..., ::-1], -v1], axis=-1
+        [folded[..., half:], neg[..., half:][..., ::-1], n1[..., ::-1], n1],
+        axis=-1,
     )
 
 
@@ -76,9 +77,14 @@ def mdct_analysis(signal: np.ndarray, n: int = 512) -> tuple[np.ndarray, int]:
     padded = np.zeros(body + 2 * n)
     padded[n : n + length] = x
     num_frames = body // n + 1
-    idx = np.arange(2 * n)[None, :] + (np.arange(num_frames) * n)[:, None]
-    frames = padded[idx] * sine_window(2 * n)[None, :]
-    return mdct(frames), length
+    # frame i is padded[i*n : i*n + 2n]: a read-only strided view
+    frames = as_strided(
+        padded,
+        shape=(num_frames, 2 * n),
+        strides=(n * padded.strides[0], padded.strides[0]),
+        writeable=False,
+    )
+    return mdct(frames * sine_window(2 * n)), length
 
 
 def mdct_synthesis(coeffs: np.ndarray, length: int) -> np.ndarray:

@@ -43,6 +43,16 @@ def band_edges(sample_rate: int, n_bins: int, bands_per_bark: float = 1.0):
     return edges.astype(np.int64)
 
 
+@lru_cache(maxsize=64)
+def _taper(n_bands: int, quality: int) -> np.ndarray:
+    """Bits taken off each band: high bands get progressively fewer
+    bits at low quality."""
+    taper = np.linspace(0.0, (10 - quality) * 0.35, n_bands)
+    bits = np.round(taper).astype(np.int64)
+    bits.flags.writeable = False
+    return bits
+
+
 class PsychoModel:
     """Masking-threshold estimation over Bark bands."""
 
@@ -58,6 +68,7 @@ class PsychoModel:
         self.n_bins = n_bins
         self.edges = band_edges(sample_rate, n_bins)
         self.n_bands = len(self.edges) - 1
+        self._counts = np.diff(self.edges)
         centre_bins = (self.edges[:-1] + self.edges[1:]) / 2.0
         centre_freqs = centre_bins * sample_rate / (2.0 * n_bins)
         z = bark(centre_freqs)
@@ -69,8 +80,7 @@ class PsychoModel:
         or a whole block ``(frames, n_bins)`` (bands on the last axis)."""
         power = coeffs * coeffs
         sums = np.add.reduceat(power, self.edges[:-1], axis=-1)
-        counts = np.diff(self.edges)
-        return sums / counts
+        return sums / self._counts
 
     #: how far below the (spread) masking signal the threshold sits; real
     #: models vary this with tonality, we use a fixed tone-like value
@@ -115,8 +125,6 @@ class PsychoModel:
         margin_db = 3.0 * quality - 8.0
         needed_db = np.maximum(smr_db, 0.0) + margin_db
         widths = np.ceil(needed_db / 6.02).astype(np.int64) + 1
-        # high bands get progressively fewer bits at low quality
-        taper = np.linspace(0.0, (10 - quality) * 0.35, self.n_bands)
-        widths = np.maximum(widths - np.round(taper).astype(np.int64), 2)
+        widths = np.maximum(widths - _taper(self.n_bands, quality), 2)
         widths = np.where(audible, widths, 0)
-        return np.clip(widths, 0, 15)
+        return np.minimum(widths, 15)  # already >= 0

@@ -63,7 +63,9 @@ class VorbisLikeCodec(BlockCodec):
         if not 0 <= quality <= 10:
             raise ValueError(f"quality must be 0..10: {quality}")
         if frame_size & (frame_size - 1) or frame_size < 64:
-            raise ValueError(f"frame_size must be a power of two >= 64")
+            raise ValueError(
+                f"frame_size must be a power of two >= 64: {frame_size}"
+            )
         if entropy not in ("fixed", "rice"):
             raise ValueError(f"unknown entropy coder: {entropy}")
         self.quality = quality
@@ -242,7 +244,8 @@ class VorbisLikeCodec(BlockCodec):
             out = np.stack([mid + side, mid - side], axis=1)
         else:
             out = planes[0][:, None]
-        return np.clip(out, -1.0, 1.0)
+        # np.clip without its dispatch overhead (NaN propagates the same)
+        return np.minimum(np.maximum(out, -1.0), 1.0)
 
     def _reference_decode_frame(
         self, data: bytes, offset: int, out: np.ndarray, model: PsychoModel

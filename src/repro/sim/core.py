@@ -28,7 +28,9 @@ class Event:
 
     Returned by :meth:`Simulator.schedule` so callers can cancel it.  The
     ``seq`` field breaks ties between events scheduled for the same instant,
-    preserving FIFO order of scheduling.
+    preserving FIFO order of scheduling.  The queue orders
+    ``(time, seq, event)`` tuples, so no comparison ever reaches Python
+    code (``seq`` is unique: the event itself is never compared).
 
     ``transient`` marks an event scheduled through
     :meth:`Simulator.schedule_transient`: no handle was handed out, so it
@@ -47,9 +49,6 @@ class Event:
         self.args = args
         self.cancelled = False
         self.transient = False
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -73,7 +72,7 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         #: recycled transient Event objects (allocation free-list)
         self._free: list[Event] = []
         #: events executed so far (plain int so benchmarks can compute
@@ -132,7 +131,7 @@ class Simulator:
             )
         self._seq += 1
         ev = Event(time, self._seq, fn, args)
-        heapq.heappush(self._heap, ev)
+        heapq.heappush(self._heap, (time, self._seq, ev))
         return ev
 
     def schedule_transient(self, delay: float, fn: Callable, *args: Any) -> None:
@@ -146,18 +145,19 @@ class Simulator:
         if delay < 0:
             raise SimError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
+        time = self._now + delay
         free = self._free
         if free:
             ev = free.pop()
-            ev.time = self._now + delay
+            ev.time = time
             ev.seq = self._seq
             ev.fn = fn
             ev.args = args
             ev.cancelled = False
         else:
-            ev = Event(self._now + delay, self._seq, fn, args)
+            ev = Event(time, self._seq, fn, args)
             ev.transient = True
-        heapq.heappush(self._heap, ev)
+        heapq.heappush(self._heap, (time, self._seq, ev))
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event.  Cancelling twice is harmless."""
@@ -169,7 +169,7 @@ class Simulator:
         Returns ``False`` when the queue is empty.
         """
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[2]
             if ev.cancelled:
                 continue
             if self.telemetry is not None:
@@ -193,11 +193,11 @@ class Simulator:
         exception, if any.
         """
         while self._heap:
-            nxt = self._heap[0]
+            time, _, nxt = self._heap[0]
             if nxt.cancelled:
                 heapq.heappop(self._heap)
                 continue
-            if until is not None and nxt.time > until:
+            if until is not None and time > until:
                 break
             self.step()
             if self.unhandled:
@@ -210,4 +210,4 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for _, _, ev in self._heap if not ev.cancelled)

@@ -8,11 +8,18 @@ hypothesis sweeps over dtypes, odd block sizes, empty blocks, every Rice
 parameter 0..30, and random byte-level corruption.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec.batch import (
+    _read_fields,
+    decode_bands_batched,
+    encode_bands_batched,
+)
 from repro.codec.mdct import (
     _reference_mdct_synthesis,
     mdct_analysis,
@@ -24,7 +31,7 @@ from repro.codec.rice import (
     rice_decode,
     rice_encode,
 )
-from repro.codec.vorbislike import VorbisLikeCodec
+from repro.codec.vorbislike import VorbisLikeCodec, _model
 
 
 def _signal(rng, n, channels, kind):
@@ -271,3 +278,166 @@ def test_mp3_corrupt_stream_same_outcome(n, cut, flips, seed):
             i = header + int(frac * (len(blob) - header - 1))
             blob[min(i, len(blob) - 1)] ^= 1 << bit
     assert _outcome(fast, bytes(blob)) == _outcome(slow, bytes(blob))
+
+
+# -- kernel edge cases -------------------------------------------------------
+#
+# The cases below drive the kernels directly with hand-picked band layouts
+# and compare them with the codecs' scalar per-frame loops, run on a
+# stand-in model that exposes just the edges and the chosen widths.
+
+
+def _model_for(edges, widths_row=None):
+    return SimpleNamespace(
+        edges=np.asarray(edges, dtype=np.int64),
+        n_bands=len(edges) - 1,
+        band_energies=lambda frame: None,
+        allocate_widths=lambda energies, quality: widths_row,
+    )
+
+
+def _reference_encode(coeffs, edges, widths, entropy="fixed"):
+    codec = VorbisLikeCodec(batched=False, entropy=entropy)
+    return b"".join(
+        codec._reference_encode_frame(frame, _model_for(edges, row))
+        for frame, row in zip(coeffs, widths)
+    )
+
+
+def _reference_decode(data, offset, n_frames, edges):
+    codec = VorbisLikeCodec(batched=False)
+    model = _model_for(edges)
+    out = np.zeros((n_frames, edges[-1]))
+    for f in range(n_frames):
+        offset = codec._reference_decode_frame(data, offset, out[f], model)
+    return out, offset
+
+
+def _assert_kernels_match(coeffs, edges, widths, *, prefix=b"", suffix=b""):
+    """Encode with both paths, then decode the batched bytes from a
+    memoryview sitting inside a larger buffer, like a packet payload."""
+    n_frames = len(coeffs)
+    body = encode_bands_batched(coeffs, edges, widths)
+    assert body == _reference_encode(coeffs, edges, widths)
+    start = len(prefix)
+    view = memoryview(prefix + body + suffix)[start:start + len(body)]
+    got, got_end = decode_bands_batched(view, 0, n_frames, edges)
+    ref, ref_end = _reference_decode(body, 0, n_frames, edges)
+    assert got_end == ref_end == len(body)
+    assert got.tobytes() == ref.tobytes()
+    return body
+
+
+def test_read_fields_at_every_bit_offset_and_width():
+    """The 24-bit window holds any field of up to 16 bits, including the
+    widest case — 16 bits starting at bit 7 of a byte — in the buffer's
+    last three bytes, where the window reaches into the zero padding."""
+    rng = np.random.default_rng(5)
+    data = rng.integers(0, 256, 9, dtype=np.uint8).tobytes()
+    buf = np.zeros(len(data) + 2, dtype=np.int64)
+    buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    whole = int.from_bytes(data, "big")
+    pos, wid = zip(*[
+        (p, w)
+        for w in range(1, 17)
+        for p in range(0, 8 * len(data) - w + 1)
+    ])
+    pos, wid = np.array(pos), np.array(wid)
+    last_byte = 8 * (len(data) - 1)
+    assert ((pos & 7 == 7) & (wid == 16) & (pos + wid > last_byte)).any()
+    got = _read_fields(buf, pos, wid)
+    want = [
+        (whole >> (8 * len(data) - p - w)) & ((1 << w) - 1)
+        for p, w in zip(pos.tolist(), wid.tolist())
+    ]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("width", range(2, 17))
+def test_unpadded_bands_end_on_the_last_byte(width):
+    """count * width % 8 == 0: no part carries a pad, and the block's
+    last field ends exactly on the payload's last byte."""
+    edges = [0, 8, 16, 24]
+    rng = np.random.default_rng(width)
+    coeffs = rng.normal(0.0, 0.4, (3, 24))
+    widths = np.full((3, 3), width)
+    body = _assert_kernels_match(coeffs, edges, widths, suffix=b"\xff\xff")
+    assert len(body) == 3 * 3 * (2 + width)
+
+
+@pytest.mark.parametrize("width", [3, 5, 7, 9, 11, 13, 15])
+def test_odd_widths_cross_every_bit_offset(width):
+    """Odd widths put fields at every bit offset 0..7, the widest at
+    bit 7 (15 bits: a field spanning three bytes)."""
+    edges = [0, 1, 9, 17, 40]
+    rng = np.random.default_rng(width)
+    coeffs = rng.normal(0.0, 0.4, (2, 40))
+    widths = np.full((2, 4), width)
+    widths[1, 0] = 0
+    _assert_kernels_match(coeffs, edges, widths, prefix=b"\x00" * 5)
+
+
+def test_all_inactive_block_and_empty_block():
+    edges = [0, 4, 12, 32]
+    zeros = np.zeros((4, 32))
+    body = _assert_kernels_match(zeros, edges, np.full((4, 3), 9))
+    assert body == b"\x00" * 12
+    quiet = np.full((4, 32), 0.3)
+    body = _assert_kernels_match(quiet, edges, np.zeros((4, 3), np.int64))
+    assert body == b"\x00" * 12
+    # n_frames == 0: nothing on the wire, nothing decoded
+    assert encode_bands_batched(np.zeros((0, 32)), edges,
+                                np.zeros((0, 3), np.int64)) == b""
+    got, end = decode_bands_batched(memoryview(b"\x07"), 1, 0, edges)
+    assert got.shape == (0, 32) and end == 1
+
+
+@pytest.mark.parametrize("entropy", ["fixed", "rice"])
+def test_stereo_side_plane_decodes_from_its_offset(entropy):
+    """The side plane starts wherever the mid plane ended, past the
+    header: decode both planes from a memoryview, like a speaker does."""
+    rng = np.random.default_rng(11)
+    x = _signal(rng, 3000, 2, "noise")
+    fast = VorbisLikeCodec(quality=7, entropy=entropy, batched=True)
+    blob = fast.encode_block(x)
+    header, num_frames = 10, (3000 + 511) // 512 + 1
+    edges = _model(fast.sample_rate, fast.frame_size).edges
+    view = memoryview(blob)
+    mid, side_at = decode_bands_batched(view, header, num_frames, edges)
+    side, end = decode_bands_batched(view, side_at, num_frames, edges)
+    ref_mid, ref_side_at = _reference_decode(blob, header, num_frames, edges)
+    ref_side, ref_end = _reference_decode(blob, ref_side_at, num_frames,
+                                          edges)
+    assert (side_at, end) == (ref_side_at, ref_end)
+    assert end == len(blob)
+    assert mid.tobytes() == ref_mid.tobytes()
+    assert side.tobytes() == ref_side.tobytes()
+
+
+@pytest.mark.parametrize("codec_cls", [VorbisLikeCodec, Mp3LikeCodec])
+def test_memoryview_payload_decodes_like_bytes(codec_cls):
+    """Speakers decode a read-only memoryview into the received frame."""
+    rng = np.random.default_rng(3)
+    x = _signal(rng, 4000, 2, "tone")
+    fast, slow = _pair(codec_cls)
+    blob = fast.encode_block(x)
+    frame = b"\x55" * 17 + blob + b"\xaa" * 3
+    view = memoryview(frame)[17:17 + len(blob)].toreadonly()
+    assert _outcome(fast, view) == _outcome(slow, blob)
+    assert _outcome(fast, view)[0] == "ok"
+    # a truncated view takes the fallback and raises the scalar error
+    cut = view[: len(blob) // 2]
+    assert _outcome(fast, cut) == _outcome(slow, cut)
+
+
+@pytest.mark.parametrize("tag", [0x80, 0x85, 0xFF])
+def test_mp3_decode_rejects_rice_tags_like_reference(tag):
+    """Mp3Like streams carry no Rice bands (rice_tags=False): a tag with
+    the high bit set is an out-of-range width, an error either way."""
+    rng = np.random.default_rng(1)
+    fast, slow = _pair(Mp3LikeCodec, bitrate_kbps=192)
+    blob = bytearray(fast.encode_block(_signal(rng, 2000, 1, "noise")))
+    blob[8] = tag  # first band descriptor, just past the 8-byte header
+    outcome = _outcome(fast, bytes(blob))
+    assert outcome == _outcome(slow, bytes(blob))
+    assert outcome[0] == "ValueError"

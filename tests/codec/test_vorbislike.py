@@ -145,3 +145,10 @@ def test_property_decode_inverts_encode_length(quality, length, seed):
     out = codec.decode_block(codec.encode_block(x))
     assert out.shape == (length, 1)
     assert np.max(np.abs(out)) <= 1.0
+
+
+@pytest.mark.parametrize("frame_size", [32, 100, 513])
+def test_bad_frame_size_error_names_the_value(frame_size):
+    with pytest.raises(ValueError,
+                       match=f"power of two >= 64: {frame_size}$"):
+        VorbisLikeCodec(frame_size=frame_size)

@@ -20,7 +20,9 @@ import pytest
 
 from repro.audio import music
 from repro.audio.params import CD_QUALITY
+from repro.codec import CodecID, VorbisLikeCodec
 from repro.core import EthernetSpeakerSystem
+from repro.core.protocol import DataPacket, parse_packet
 
 CHANNELS = 2
 SPEAKERS = 2
@@ -40,13 +42,15 @@ PIPELINE_FIELDS = (
 
 def build(scenario, seed, *, batched_encode=True, shared_encode=True,
           channels=CHANNELS, speakers=SPEAKERS,
-          stream_seconds=STREAM_SECONDS, horizon=HORIZON):
+          stream_seconds=STREAM_SECONDS, horizon=HORIZON, tap=None):
     system = EthernetSpeakerSystem(
         seed=seed,
         telemetry=True,
         batched_encode=batched_encode,
         shared_encode=shared_encode,
     )
+    if tap is not None:
+        system.lan.add_tap(tap)
     pcm = music(stream_seconds, 44100, seed=seed)
     nodes = []
     for i in range(channels):
@@ -109,6 +113,33 @@ def test_batched_origin_matches_scalar_origin(scenario, seed):
     assert_fleets_identical(nodes_fast, nodes_slow)
     assert_ledgers_identical(sys_fast.pipeline_report(),
                              sys_slow.pipeline_report())
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+def test_clean_station_decodes_every_wire_payload_both_ways(seed):
+    """Both fleets above decode with the batched kernel, and a speaker
+    counts any decode exception as ``decode_failed`` — so a decode-kernel
+    bug would read as modelled loss.  On a clean wire nothing may fail to
+    decode, and every data payload on the wire must decode to the same
+    samples through the batched kernel and the scalar reference loop."""
+    wire = []
+    for batched_encode in (True, False):
+        _, nodes = build("clean", seed, batched_encode=batched_encode,
+                         tap=lambda dgram: wire.append(dgram.payload))
+        for i, node in enumerate(nodes):
+            assert node.speaker.stats.played > 0
+            assert node.speaker.stats.decode_failed == 0, \
+                f"speaker {i} failed to decode (batched_encode=" \
+                f"{batched_encode})"
+    data = [p for p in map(parse_packet, wire) if isinstance(p, DataPacket)]
+    assert data
+    fast = VorbisLikeCodec(sample_rate=CD_QUALITY.sample_rate, batched=True)
+    slow = VorbisLikeCodec(sample_rate=CD_QUALITY.sample_rate, batched=False)
+    for packet in data:
+        assert packet.codec_id == CodecID.VORBIS_LIKE
+        # the payload is a memoryview into the frame, as speakers see it
+        assert fast.decode_block(packet.payload).tobytes() == \
+            slow.decode_block(packet.payload).tobytes()
 
 
 @pytest.mark.parametrize("seed", [7, 23])
