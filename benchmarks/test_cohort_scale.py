@@ -9,8 +9,9 @@ producer "does not need to maintain any state for the Ethernet
 Speakers").
 
 This benchmark sweeps cohort sizes up to 10,000 members × 10 simulated
-seconds, races the vectorized fleet against a per-object fleet
-(``cohort=False``) at the 1,024-member race point, and emits
+seconds, races the vectorized fleet against a per-object fleet (the
+differential oracle ``tests/oracles/fleet.py``) at the 1,024-member race
+point, and emits
 ``BENCH_cohort.json``.  Three gates:
 
 * the cohort must execute **>= 10x fewer** simulator events than the
@@ -30,6 +31,7 @@ from pathlib import Path
 from repro.audio import AudioEncoding, AudioParams, music
 from repro.core import EthernetSpeakerSystem
 from repro.metrics import ascii_table
+from tests.oracles.fleet import add_object_fleet
 
 PARAMS = AudioParams(AudioEncoding.SLINEAR16, 22050, 1)
 STREAM_SECONDS = 10.0
@@ -45,20 +47,21 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_cohort_baseline.json"
 
 
 def run_fleet(members, *, cohort):
-    system = EthernetSpeakerSystem(telemetry=False, cohort=cohort)
+    system = EthernetSpeakerSystem(telemetry=False)
     producer = system.add_producer()
     channel = system.add_channel("bench", params=PARAMS, compress="always")
     system.add_rebroadcaster(producer, channel)
-    fleet = system.add_speaker_cohort(channel, members)
+    if cohort:
+        fleet = system.add_speaker_cohort(channel, members)
+    else:
+        fleet = add_object_fleet(system, channel, members)
     system.play_pcm(
         producer, music(STREAM_SECONDS, PARAMS.sample_rate, seed=3), PARAMS
     )
     start = time.perf_counter()
     system.run(until=STREAM_SECONDS + 4.0)
     wall = time.perf_counter() - start
-    played = sum(
-        fleet.member_stats(i).played for i in range(members)
-    ) if not cohort else fleet.stat_sum("played")
+    played = fleet.stat_sum("played")
     packets = sum(rb.stats.data_sent for rb in system.rebroadcasters)
     return {
         "members": members,
@@ -67,8 +70,8 @@ def run_fleet(members, *, cohort):
         "wall_seconds": round(wall, 4),
         "wall_per_sim_second": round(wall / STREAM_SECONDS, 4),
         "events_executed": system.sim.events_executed,
-        "events_saved": fleet.events_saved if cohort else 0,
-        "spills": fleet.spills if cohort else 0,
+        "events_saved": fleet.events_saved,
+        "spills": fleet.spills,
         "packets_sent": packets,
         "blocks_played": played,
     }

@@ -12,7 +12,8 @@ producer + rebroadcaster + listener encoding 250 ms blocks of the same
 source (the *encode* cache stays off so every channel pays the full
 encoder cost; the shared decode cache keeps the listener side identical
 between arms), races the headline point (32 channels) against the scalar
-reference kernels (``batched_encode=False``), and emits
+reference loops (the oracle ``tests/oracles/codec.py``, installed as the
+codec's ``encode_block``), and emits
 ``BENCH_origin.json``.  Two gates:
 
 * batched encode kernels must be **>= 4x** faster at 32 channels;
@@ -28,8 +29,10 @@ from pathlib import Path
 
 from repro.audio import music
 from repro.audio.params import CD_QUALITY
+from repro.codec import VorbisLikeCodec
 from repro.core import EthernetSpeakerSystem
 from repro.metrics import ascii_table
+from tests.oracles.codec import scalar_encode_block
 
 SWEEP = [1, 8, 32, 64]
 HEADLINE = 32
@@ -43,14 +46,8 @@ RESULT_PATH = REPO_ROOT / "BENCH_origin.json"
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_origin_baseline.json"
 
 
-def run_origin(channels, *, batched_encode):
-    system = EthernetSpeakerSystem(
-        telemetry=False,
-        batched_encode=batched_encode,
-        # the race measures the encoder kernels, not same-source dedupe:
-        # every channel must pay for its own encode
-        shared_encode=False,
-    )
+def run_origin(channels):
+    system = EthernetSpeakerSystem(telemetry=False)
     pcm = music(STREAM_SECONDS, 44100, seed=3)
     for i in range(channels):
         producer = system.add_producer(
@@ -61,8 +58,11 @@ def run_origin(channels, *, batched_encode):
         )
         channel = system.add_channel(f"ch{i}", params=CD_QUALITY,
                                      compress="always")
+        # the race measures the encoder kernels, not same-source dedupe:
+        # every channel must pay for its own encode
         system.add_rebroadcaster(producer, channel,
-                                 master_path=f"/dev/vadm{i}")
+                                 master_path=f"/dev/vadm{i}",
+                                 encode_cache=None)
         system.add_speaker(channel=channel)
         system.play_pcm(producer, pcm, CD_QUALITY,
                         slave_path=f"/dev/vads{i}")
@@ -89,10 +89,12 @@ def run_origin(channels, *, batched_encode):
     }
 
 
-def test_origin_scale_and_regression_gate():
-    sweep = [run_origin(n, batched_encode=True) for n in SWEEP]
+def test_origin_scale_and_regression_gate(monkeypatch):
+    sweep = [run_origin(n) for n in SWEEP]
     fast = next(r for r in sweep if r["channels"] == HEADLINE)
-    scalar = run_origin(HEADLINE, batched_encode=False)
+    with monkeypatch.context() as m:
+        m.setattr(VorbisLikeCodec, "encode_block", scalar_encode_block)
+        scalar = run_origin(HEADLINE)
 
     # the batched kernels must not change a byte of what anyone hears
     assert fast["blocks_played"] == scalar["blocks_played"] > 0

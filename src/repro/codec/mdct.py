@@ -94,8 +94,8 @@ def mdct_synthesis(coeffs: np.ndarray, length: int) -> np.ndarray:
     (frame *i*'s tail, frame *i+1*'s head), so the whole overlap-add is
     two vectorised adds onto an ``(num_frames + 1, n)`` grid — and
     because two-term float addition is commutative, the result is
-    bit-identical to the per-frame loop
-    (:func:`_reference_mdct_synthesis`).
+    bit-identical to a per-frame overlap-add loop (the oracle in
+    ``tests/oracles/codec.py``).
     """
     num_frames, n = coeffs.shape
     chunks = imdct(coeffs) * sine_window(2 * n)[None, :]
@@ -104,13 +104,3 @@ def mdct_synthesis(coeffs: np.ndarray, length: int) -> np.ndarray:
     out[1:] += chunks[:, n:]
     return out.reshape(-1)[n : n + length]
 
-
-def _reference_mdct_synthesis(coeffs: np.ndarray, length: int) -> np.ndarray:
-    """The original per-frame overlap-add loop; kept as the equality
-    oracle for the vectorised formulation."""
-    num_frames, n = coeffs.shape
-    out = np.zeros((num_frames + 1) * n)
-    chunks = imdct(coeffs) * sine_window(2 * n)[None, :]
-    for i in range(num_frames):
-        out[i * n : i * n + 2 * n] += chunks[i]
-    return out[n : n + length]

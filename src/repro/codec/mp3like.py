@@ -15,6 +15,7 @@ windowing, different allocation, hence genuinely different loss patterns.
 from __future__ import annotations
 
 import struct
+from functools import partial
 
 import numpy as np
 from scipy.fft import dct, idct
@@ -39,6 +40,9 @@ _EDGES[-1] = _BLOCK
 
 SUPPORTED_KBPS = (96, 128, 192, 256, 320)
 
+#: the batched band decoder for Mp3Like streams, which carry no Rice bands
+_decode_bands = partial(decode_bands_batched, edges=_EDGES, rice_tags=False)
+
 
 def _width_table(kbps: int, channels: int) -> np.ndarray:
     """Fixed per-band quantiser widths for a target bitrate.
@@ -58,17 +62,33 @@ class Mp3LikeCodec(BlockCodec):
 
     codec_id = CodecID.MP3_LIKE
 
-    def __init__(self, bitrate_kbps: int = 192, batched: bool = True):
+    def __init__(self, bitrate_kbps: int = 192):
         if bitrate_kbps not in SUPPORTED_KBPS:
             raise ValueError(
                 f"bitrate {bitrate_kbps} not in ladder {SUPPORTED_KBPS}"
             )
         self.bitrate_kbps = bitrate_kbps
-        #: whole-block kernels from :mod:`repro.codec.batch`; the scalar
-        #: ``_reference_*`` loops remain the bit-exact oracle/fallback
-        self.batched = batched
 
     def encode_block(self, samples: np.ndarray) -> bytes:
+        """One block through the whole-block kernels of
+        :mod:`repro.codec.batch`; input they refuse takes the per-block
+        ``_reference_*`` loop, whose bytes or error are the contract."""
+        header, spectra, widths = self._analyse(samples)
+        try:
+            body = encode_bands_batched(
+                spectra,
+                _EDGES,
+                np.broadcast_to(widths, (spectra.shape[0], len(_EDGES) - 1)),
+                min_width=2,
+                use_rice=False,
+            )
+        except BatchFallback:
+            body = self._reference_encode(spectra, widths)
+        return header + body
+
+    def _analyse(self, samples: np.ndarray):
+        """The block header, the DCT spectra in wire order (every block
+        of channel 0, then channel 1) and the per-band widths."""
         x = np.asarray(samples, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
@@ -77,114 +97,83 @@ class Mp3LikeCodec(BlockCodec):
         padded_len = ((num_samples + _BLOCK - 1) // _BLOCK) * _BLOCK
         padded = np.zeros((padded_len, channels))
         padded[:num_samples] = x
-        parts = [
-            _HEADER.pack(
-                int(self.codec_id), channels, self.bitrate_kbps, num_samples
-            )
-        ]
-        spectra_list = [
+        header = _HEADER.pack(
+            int(self.codec_id), channels, self.bitrate_kbps, num_samples
+        )
+        spectra = np.concatenate([
             dct(padded[:, ch].reshape(-1, _BLOCK), type=2, axis=1,
                 norm="ortho")
             for ch in range(channels)
-        ]
-        if self.batched:
-            try:
-                # channels stacked block-major matches the wire order
-                all_spec = np.concatenate(spectra_list, axis=0)
-                body = encode_bands_batched(
-                    all_spec,
-                    _EDGES,
-                    np.broadcast_to(
-                        widths, (all_spec.shape[0], len(_EDGES) - 1)
-                    ),
-                    min_width=2,
-                    use_rice=False,
-                )
-                return parts[0] + body
-            except BatchFallback:
-                pass
-        for spectra in spectra_list:
-            for spec in spectra:
-                parts.append(self._reference_encode_spectrum(spec, widths))
-        return b"".join(parts)
+        ], axis=0)
+        return header, spectra, widths
 
-    def _reference_encode_spectrum(
-        self, spec: np.ndarray, widths: np.ndarray
-    ) -> bytes:
-        """Scalar per-band loop the batched kernel must match byte for
-        byte; also the fallback for inputs the kernel refuses."""
+    def _reference_encode(self, spectra: np.ndarray, widths: np.ndarray
+                          ) -> bytes:
+        """Scalar per-block, per-band loop the batched kernel must match
+        byte for byte; also the fallback for inputs the kernel refuses."""
         parts = []
-        for b in range(len(_EDGES) - 1):
-            width = int(widths[b])
-            lo, hi = _EDGES[b], _EDGES[b + 1]
-            band = spec[lo:hi]
-            amax = float(np.max(np.abs(band)))
-            if width < 2 or amax == 0.0:
-                parts.append(b"\x00")
-                continue
-            top = (1 << (width - 1)) - 1
-            exponent = int(np.ceil(np.log2(amax / top)))
-            exponent = max(-120, min(120, exponent))
-            q = np.clip(
-                np.round(band / 2.0**exponent), -top - 1, top
-            ).astype(np.int64)
-            parts.append(
-                struct.pack("<Bb", width, exponent) + bitpack.pack_int(q, width)
-            )
+        for spec in spectra:
+            for b in range(len(_EDGES) - 1):
+                width = int(widths[b])
+                lo, hi = _EDGES[b], _EDGES[b + 1]
+                band = spec[lo:hi]
+                amax = float(np.max(np.abs(band)))
+                if width < 2 or amax == 0.0:
+                    parts.append(b"\x00")
+                    continue
+                top = (1 << (width - 1)) - 1
+                exponent = int(np.ceil(np.log2(amax / top)))
+                exponent = max(-120, min(120, exponent))
+                q = np.clip(
+                    np.round(band / 2.0**exponent), -top - 1, top
+                ).astype(np.int64)
+                parts.append(struct.pack("<Bb", width, exponent)
+                             + bitpack.pack_int(q, width))
         return b"".join(parts)
 
     def decode_block(self, data: bytes) -> np.ndarray:
+        try:
+            return self._decode(data, _decode_bands)
+        except BatchFallback:
+            # malformed stream: reproduce the reference walker's exact
+            # error by re-decoding from the block start
+            return self._decode(data, self._reference_decode_bands)
+
+    def _decode(self, data: bytes, decode_bands) -> np.ndarray:
+        """Header, then every channel's spectra through ``decode_bands``."""
         codec, channels, kbps, num_samples = _HEADER.unpack_from(data, 0)
         if codec != int(self.codec_id):
             raise ValueError(f"not an mp3like block (codec id {codec})")
         num_blocks = (num_samples + _BLOCK - 1) // _BLOCK
-        spectra_list = None
-        if self.batched:
-            try:
-                spectra_list = []
-                offset = _HEADER.size
-                for _ in range(channels):
-                    spectra, offset = decode_bands_batched(
-                        data, offset, num_blocks, _EDGES, rice_tags=False
-                    )
-                    spectra_list.append(spectra)
-            except BatchFallback:
-                # malformed stream: reproduce the reference walker's
-                # exact error by re-decoding from the block start
-                spectra_list = None
-        if spectra_list is None:
-            spectra_list = []
-            offset = _HEADER.size
-            for _ in range(channels):
-                spectra = np.zeros((num_blocks, _BLOCK))
-                for blk in range(num_blocks):
-                    offset = self._reference_decode_spectrum(
-                        data, offset, spectra[blk]
-                    )
-                spectra_list.append(spectra)
+        offset = _HEADER.size
         planes = []
-        for spectra in spectra_list:
+        for _ in range(channels):
+            spectra, offset = decode_bands(data, offset, num_blocks)
             plane = idct(spectra, type=2, axis=1, norm="ortho").reshape(-1)
             planes.append(plane[:num_samples])
         return np.clip(np.stack(planes, axis=1), -1.0, 1.0)
 
-    def _reference_decode_spectrum(
-        self, data: bytes, offset: int, out: np.ndarray
-    ) -> int:
-        for b in range(len(_EDGES) - 1):
-            width = data[offset]
-            offset += 1
-            if width == 0:
-                continue
-            (exponent,) = struct.unpack_from("<b", data, offset)
-            offset += 1
-            lo, hi = _EDGES[b], _EDGES[b + 1]
-            count = hi - lo
-            nbytes = bitpack.packed_size(width, count)
-            q = bitpack.unpack_int(data[offset : offset + nbytes], width, count)
-            offset += nbytes
-            out[lo:hi] = q * 2.0**exponent
-        return offset
+    def _reference_decode_bands(self, data: bytes, offset: int,
+                                num_blocks: int):
+        """Scalar walker; on a malformed stream its exception is the
+        contract."""
+        spectra = np.zeros((num_blocks, _BLOCK))
+        for blk in range(num_blocks):
+            for b in range(len(_EDGES) - 1):
+                width = data[offset]
+                offset += 1
+                if width == 0:
+                    continue
+                (exponent,) = struct.unpack_from("<b", data, offset)
+                offset += 1
+                lo, hi = _EDGES[b], _EDGES[b + 1]
+                count = hi - lo
+                nbytes = bitpack.packed_size(width, count)
+                q = bitpack.unpack_int(data[offset : offset + nbytes], width,
+                                       count)
+                offset += nbytes
+                spectra[blk, lo:hi] = q * 2.0**exponent
+        return spectra, offset
 
 
 _FILE_MAGIC = b"MPL1"

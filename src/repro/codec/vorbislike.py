@@ -58,7 +58,6 @@ class VorbisLikeCodec(BlockCodec):
         frame_size: int = 512,
         entropy: str = "fixed",
         window_switching: bool = False,
-        batched: bool = True,
     ):
         if not 0 <= quality <= 10:
             raise ValueError(f"quality must be 0..10: {quality}")
@@ -80,16 +79,33 @@ class VorbisLikeCodec(BlockCodec):
         #: Rice-coded residue (smaller, FLAC-style).  The decoder handles
         #: both regardless of this setting — each band is tagged.
         self.entropy = entropy
-        #: whole-block vectorised kernels (:mod:`repro.codec.batch`);
-        #: bit-identical to the per-frame reference loops, which survive
-        #: as ``_reference_*`` and handle the inputs the batch kernels
-        #: refuse (non-finite coefficients, malformed streams)
-        self.batched = batched
         self._log2n = frame_size.bit_length() - 1
 
     # -- encoding ---------------------------------------------------------------
 
     def encode_block(self, samples: np.ndarray) -> bytes:
+        """One block through the whole-block kernels of
+        :mod:`repro.codec.batch`; input they refuse (non-finite
+        coefficients) takes the per-frame ``_reference_*`` loop, whose
+        bytes or error are the contract."""
+        header, coeffs, model = self._analyse(samples)
+        energies = model.band_energies(coeffs)
+        widths = model.allocate_widths(energies, self.quality)
+        try:
+            body = encode_bands_batched(
+                coeffs,
+                model.edges,
+                widths,
+                min_width=1,
+                use_rice=self.entropy == "rice",
+            )
+        except BatchFallback:
+            body = self._reference_encode(coeffs, model)
+        return header + body
+
+    def _analyse(self, samples: np.ndarray):
+        """The block header, the MDCT frames in wire order (every frame
+        of the mid plane, then every side frame) and the psycho model."""
         x = np.asarray(samples, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
@@ -102,43 +118,17 @@ class VorbisLikeCodec(BlockCodec):
             planes = [x[:, 0]]
 
         frame_size = self._pick_frame_size(planes)
-        model = _model(self.sample_rate, frame_size)
-        coeffs_list = []
-        num_frames = 0
-        for plane in planes:
-            coeffs, _ = mdct_analysis(plane, frame_size)
-            num_frames = coeffs.shape[0]
-            coeffs_list.append(coeffs)
+        coeffs_list = [mdct_analysis(plane, frame_size)[0] for plane in planes]
         header = _HEADER.pack(
             int(self.codec_id),
             self.quality,
             channels,
             frame_size.bit_length() - 1,
             num_samples,
-            num_frames,
+            coeffs_list[0].shape[0],
         )
-        if self.batched:
-            try:
-                # planes stacked frame-major preserves the wire order:
-                # every frame of the mid plane, then every side frame
-                all_coeffs = np.concatenate(coeffs_list, axis=0)
-                energies = model.band_energies(all_coeffs)
-                widths = model.allocate_widths(energies, self.quality)
-                body = encode_bands_batched(
-                    all_coeffs,
-                    model.edges,
-                    widths,
-                    min_width=1,
-                    use_rice=self.entropy == "rice",
-                )
-                return header + body
-            except BatchFallback:
-                pass
-        chunks = []
-        for coeffs in coeffs_list:
-            for frame in coeffs:
-                chunks.append(self._reference_encode_frame(frame, model))
-        return header + b"".join(chunks)
+        coeffs = np.concatenate(coeffs_list, axis=0)
+        return header, coeffs, _model(self.sample_rate, frame_size)
 
     #: a segment this much louder than the block's quiet parts is an attack
     TRANSIENT_RATIO = 30.0
@@ -162,83 +152,69 @@ class VorbisLikeCodec(BlockCodec):
             return short
         return self.frame_size
 
-    def _reference_encode_frame(
-        self, frame: np.ndarray, model: PsychoModel
-    ) -> bytes:
-        """Scalar per-band loop the batched kernel must match byte for
-        byte; also the fallback for inputs the kernel refuses."""
-        energies = model.band_energies(frame)
-        widths = model.allocate_widths(energies, self.quality)
+    def _reference_encode(self, coeffs: np.ndarray, model: PsychoModel
+                          ) -> bytes:
+        """Scalar per-frame, per-band loop the batched kernel must match
+        byte for byte; also the fallback for inputs the kernel refuses."""
         parts = []
-        for b in range(model.n_bands):
-            width = int(widths[b])
-            lo, hi = model.edges[b], model.edges[b + 1]
-            band = frame[lo:hi]
-            amax = float(np.max(np.abs(band))) if hi > lo else 0.0
-            if width == 0 or amax == 0.0:
-                parts.append(b"\x00")
-                continue
-            top = (1 << (width - 1)) - 1
-            exponent = int(np.ceil(np.log2(amax / top)))
-            exponent = max(-120, min(120, exponent))
-            step = 2.0**exponent
-            q = np.clip(np.round(band / step), -top - 1, top).astype(np.int64)
-            if self.entropy == "rice":
-                # adaptive: Rice wins on peaky bands (quiet coefficients
-                # under a few spectral lines), fixed width wins on dense
-                # ones — pick per band, the decoder handles either tag
-                k = rice.best_k(q)
-                rice_bytes = rice.rice_size_bytes(q, k) + 2
-                fixed_bytes = bitpack.packed_size(width, len(q))
-                if rice_bytes < fixed_bytes:
-                    payload = rice.rice_encode(q, k)
-                    parts.append(
-                        struct.pack(
-                            "<BbH", 0x80 | k, exponent, len(payload)
-                        )
-                        + payload
-                    )
+        for frame in coeffs:
+            energies = model.band_energies(frame)
+            widths = model.allocate_widths(energies, self.quality)
+            for b in range(model.n_bands):
+                width = int(widths[b])
+                lo, hi = model.edges[b], model.edges[b + 1]
+                band = frame[lo:hi]
+                amax = float(np.max(np.abs(band))) if hi > lo else 0.0
+                if width == 0 or amax == 0.0:
+                    parts.append(b"\x00")
                     continue
-            parts.append(
-                struct.pack("<Bb", width, exponent)
-                + bitpack.pack_int(q, width)
-            )
+                top = (1 << (width - 1)) - 1
+                exponent = int(np.ceil(np.log2(amax / top)))
+                exponent = max(-120, min(120, exponent))
+                step = 2.0**exponent
+                q = np.clip(np.round(band / step), -top - 1, top)
+                q = q.astype(np.int64)
+                if self.entropy == "rice":
+                    # adaptive: Rice wins on peaky bands (quiet
+                    # coefficients under a few spectral lines), fixed
+                    # width wins on dense ones — pick per band, the
+                    # decoder handles either tag
+                    k = rice.best_k(q)
+                    rice_bytes = rice.rice_size_bytes(q, k) + 2
+                    fixed_bytes = bitpack.packed_size(width, len(q))
+                    if rice_bytes < fixed_bytes:
+                        payload = rice.rice_encode(q, k)
+                        parts.append(struct.pack(
+                            "<BbH", 0x80 | k, exponent, len(payload)
+                        ) + payload)
+                        continue
+                parts.append(struct.pack("<Bb", width, exponent)
+                             + bitpack.pack_int(q, width))
         return b"".join(parts)
 
     # -- decoding ---------------------------------------------------------------
 
     def decode_block(self, data: bytes) -> np.ndarray:
+        try:
+            return self._decode(data, decode_bands_batched)
+        except BatchFallback:
+            # malformed stream: the reference walker's exact error is
+            # the contract, so re-decode from the block start
+            return self._decode(data, self._reference_decode_bands)
+
+    def _decode(self, data: bytes, decode_bands) -> np.ndarray:
+        """Header, then every plane's frames through ``decode_bands``."""
         codec, quality, channels, log2n, num_samples, num_frames = (
             _HEADER.unpack_from(data, 0)
         )
         if codec != int(self.codec_id):
             raise ValueError(f"not a vorbislike block (codec id {codec})")
-        n = 1 << log2n
-        model = _model(self.sample_rate, n)
-        planes = None
-        if self.batched:
-            try:
-                planes = []
-                offset = _HEADER.size
-                for _ in range(channels):
-                    coeffs, offset = decode_bands_batched(
-                        data, offset, num_frames, model.edges
-                    )
-                    planes.append(mdct_synthesis(coeffs, num_samples))
-            except BatchFallback:
-                # malformed stream: the reference walker's exact error
-                # is the contract, so re-decode from the block start
-                planes = None
-        if planes is None:
-            offset = _HEADER.size
-            planes = []
-            for _ in range(channels):
-                coeffs = np.zeros((num_frames, n))
-                for f in range(num_frames):
-                    offset = self._reference_decode_frame(
-                        data, offset, coeffs[f], model
-                    )
-                planes.append(mdct_synthesis(coeffs, num_samples))
+        edges = _model(self.sample_rate, 1 << log2n).edges
+        offset = _HEADER.size
+        planes = []
+        for _ in range(channels):
+            coeffs, offset = decode_bands(data, offset, num_frames, edges)
+            planes.append(mdct_synthesis(coeffs, num_samples))
         if channels == 2:
             mid, side = planes
             out = np.stack([mid + side, mid - side], axis=1)
@@ -247,33 +223,36 @@ class VorbisLikeCodec(BlockCodec):
         # np.clip without its dispatch overhead (NaN propagates the same)
         return np.minimum(np.maximum(out, -1.0), 1.0)
 
-    def _reference_decode_frame(
-        self, data: bytes, offset: int, out: np.ndarray, model: PsychoModel
-    ) -> int:
-        for b in range(model.n_bands):
-            tag = data[offset]
-            offset += 1
-            if tag == 0:
-                continue
-            (exponent,) = struct.unpack_from("<b", data, offset)
-            offset += 1
-            lo, hi = model.edges[b], model.edges[b + 1]
-            count = hi - lo
-            if tag & 0x80:  # Rice-coded band
-                k = tag & 0x7F
-                (nbytes,) = struct.unpack_from("<H", data, offset)
-                offset += 2
-                q = rice._reference_rice_decode(
-                    data[offset : offset + nbytes], k, count
-                )
-            else:  # fixed-width band
-                nbytes = bitpack.packed_size(tag, count)
-                q = bitpack.unpack_int(
-                    data[offset : offset + nbytes], tag, count
-                )
-            offset += nbytes
-            out[lo:hi] = q * (2.0**exponent)
-        return offset
+    def _reference_decode_bands(self, data: bytes, offset: int,
+                                num_frames: int, edges: np.ndarray):
+        """Scalar walker; on a malformed stream its exception is the
+        contract."""
+        out = np.zeros((num_frames, edges[-1]))
+        for f in range(num_frames):
+            for b in range(len(edges) - 1):
+                tag = data[offset]
+                offset += 1
+                if tag == 0:
+                    continue
+                (exponent,) = struct.unpack_from("<b", data, offset)
+                offset += 1
+                lo, hi = edges[b], edges[b + 1]
+                count = hi - lo
+                if tag & 0x80:  # Rice-coded band
+                    k = tag & 0x7F
+                    (nbytes,) = struct.unpack_from("<H", data, offset)
+                    offset += 2
+                    q = rice._reference_rice_decode(
+                        data[offset : offset + nbytes], k, count
+                    )
+                else:  # fixed-width band
+                    nbytes = bitpack.packed_size(tag, count)
+                    q = bitpack.unpack_int(
+                        data[offset : offset + nbytes], tag, count
+                    )
+                offset += nbytes
+                out[f, lo:hi] = q * (2.0**exponent)
+        return out, offset
 
 
 register_codec(CodecID.VORBIS_LIKE, VorbisLikeCodec)

@@ -286,11 +286,12 @@ class SpeakerCohort:
         speaker_kwargs: Optional[dict] = None,
         name: str = "cohort0",
         telemetry=None,
-        decode_cache=None,
     ):
         if members < 1:
             raise ValueError("a cohort needs at least one member")
         kwargs = dict(speaker_kwargs or {})
+        # a per-speaker ``telemetry`` override wins, as in ``add_speaker``
+        kwargs.setdefault("telemetry", telemetry)
         for bad in ("verifier", "room"):
             if kwargs.get(bad) is not None:
                 raise ValueError(f"cohort members cannot carry a {bad}")
@@ -310,7 +311,6 @@ class SpeakerCohort:
         self._speaker_kwargs = kwargs
         self._cpu_freq_hz = cpu_freq_hz
         self._block_seconds = block_seconds
-        self._decode_cache = decode_cache
         machine = Machine(sim, f"{name}-ex", cpu_freq_hz=cpu_freq_hz)
         machine.attach_network(self._backplane, ip, vlan=vlan)
         self._ex_sink = SpeakerSink(f"{name}-ex/speaker")
@@ -322,8 +322,7 @@ class SpeakerCohort:
         machine.register_device(kwargs.get("audio_path", "/dev/audio"),
                                 self._ex_device)
         self.exemplar = _ExemplarSpeaker(
-            machine, group_ip, port, name=f"{name}-ex",
-            telemetry=telemetry, decode_cache=decode_cache, **kwargs,
+            machine, group_ip, port, name=f"{name}-ex", **kwargs,
         )
         self.exemplar.cohort = self
         # -- the LAN seat and member tokens ---------------------------------
@@ -583,7 +582,6 @@ class SpeakerCohort:
             sim.schedule(max(0.0, next_tick - now), driver._tick, device)
         clone = EthernetSpeaker(
             machine, self.group_ip, self.port, name=f"{self.name}-m{idx}",
-            telemetry=self.telemetry, decode_cache=self._decode_cache,
             **self._speaker_kwargs,
         )
         clone._cohort_sink = sink

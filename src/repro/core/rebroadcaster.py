@@ -78,7 +78,6 @@ class Rebroadcaster:
         telemetry=None,
         epoch: int = 0,
         encode_cache: Optional[EncodeCache] = None,
-        batched_encode: bool = True,
     ):
         self.machine = machine
         self.channel = channel
@@ -95,9 +94,6 @@ class Rebroadcaster:
         #: bytes instead of re-encoding.  Host-side only — the virtual
         #: CPU is charged the full encode cost before the lookup.
         self.encode_cache = encode_cache
-        #: run the codecs' whole-block vectorised kernels (bit-identical
-        #: to the scalar reference loops; see ``repro.codec.batch``)
-        self.batched_encode = batched_encode
         self.stats = RebroadcasterStats()
         # cached instruments: one label per channel so system-level
         # conservation can sum with Telemetry.total(); with telemetry
@@ -237,15 +233,9 @@ class Rebroadcaster:
                     quality=self.channel.quality,
                     sample_rate=params.sample_rate,
                     frame_size=frame_size,
-                    batched=self.batched_encode,
                 )
         elif self._encoder is None:
-            if self._codec_id == CodecID.MP3_LIKE:
-                self._encoder = get_codec(
-                    self._codec_id, batched=self.batched_encode
-                )
-            else:
-                self._encoder = get_codec(self._codec_id)
+            self._encoder = get_codec(self._codec_id)
         return self._encoder
 
     def _handle_data(self, sock, payload: bytes):

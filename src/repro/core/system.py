@@ -28,12 +28,7 @@ import numpy as np
 
 from repro.audio.encodings import encode_samples
 from repro.audio.params import AudioParams, CD_QUALITY
-from repro.codec.cache import (
-    DecodeCache,
-    DecodeCacheStats,
-    EncodeCache,
-    EncodeCacheStats,
-)
+from repro.codec.cache import DecodeCache, EncodeCache
 from repro.core.channel import ChannelConfig
 from repro.core.cohort import CohortMember, SpeakerCohort
 from repro.core.failover import WarmStandby
@@ -110,64 +105,6 @@ class LeafLan:
     name: str = ""
 
 
-class _CompatMember:
-    """Per-object stand-in for a :class:`CohortMember` (``cohort=False``).
-
-    Exposes the same member-facing surface — ``stats``, ``sink``,
-    ``crash``/``hang``/``unhang``/``cold_restart`` — over an ordinary
-    :class:`SpeakerNode`, so differential tests drive both fleets with
-    one code path.
-    """
-
-    def __init__(self, node: SpeakerNode):
-        self.node = node
-
-    @property
-    def speaker(self) -> EthernetSpeaker:
-        return self.node.speaker
-
-    @property
-    def stats(self):
-        return self.node.speaker.stats
-
-    @property
-    def sink(self) -> SpeakerSink:
-        return self.node.sink
-
-    def crash(self) -> None:
-        self.node.speaker.crash()
-
-    def hang(self) -> None:
-        self.node.speaker.hang()
-
-    def unhang(self) -> None:
-        self.node.speaker.unhang()
-
-    def cold_restart(self) -> None:
-        self.node.speaker.cold_restart()
-
-
-class _CompatCohort:
-    """N ordinary speakers behind the cohort member API."""
-
-    def __init__(self, nodes: List[SpeakerNode], channel: ChannelConfig):
-        self.nodes = nodes
-        self.channel = channel
-        self.members = len(nodes)
-        self.spills = 0
-        self.events_saved = 0
-        self.tokens = [_CompatMember(n) for n in nodes]
-
-    def member_stats(self, i: int):
-        return self.nodes[i].speaker.stats
-
-    def member_play_log(self, i: int):
-        return self.nodes[i].speaker.stats.play_log
-
-    def member_write_offsets(self, i: int):
-        return self.nodes[i].speaker.stats.write_offsets
-
-
 class EthernetSpeakerSystem:
     """One LAN, its producer(s), channels, and Ethernet Speakers."""
 
@@ -179,13 +116,6 @@ class EthernetSpeakerSystem:
         loss_rate: float = 0.0,
         seed: int = 0,
         telemetry=False,
-        shared_decode: bool = True,
-        decode_cache_entries: int = 256,
-        batched_delivery: bool = True,
-        cohort: bool = True,
-        shared_encode: bool = True,
-        encode_cache_entries: int = 256,
-        batched_encode: bool = True,
     ):
         self.sim = Simulator()
         # telemetry: False/None -> disabled (near-zero overhead), True ->
@@ -203,27 +133,14 @@ class EthernetSpeakerSystem:
         self.telemetry: Telemetry = telemetry
         self.sim.set_telemetry(telemetry)
         #: one decode cache shared by every speaker on this system, so N
-        #: speakers on a channel decode each multicast block once
-        #: (``shared_decode=False`` restores independent per-speaker
-        #: decodes — the compatibility baseline the benchmarks race)
-        self.decode_cache: Optional[DecodeCache] = (
-            DecodeCache(max_entries=decode_cache_entries,
-                        telemetry=telemetry, name="system")
-            if shared_decode else None
-        )
+        #: speakers on a channel decode each multicast block once (a node
+        #: built with ``decode_cache=None`` decodes privately)
+        self.decode_cache = DecodeCache(telemetry=telemetry, name="system")
         #: origin-side mirror: one encode cache shared by every
         #: rebroadcaster, so looped playlists and same-source multi-channel
-        #: stations encode each raw block once (``shared_encode=False``
-        #: restores independent encodes, the benchmark baseline)
-        self.encode_cache: Optional[EncodeCache] = (
-            EncodeCache(max_entries=encode_cache_entries,
-                        telemetry=telemetry, name="system")
-            if shared_encode else None
-        )
-        #: whole-block vectorised encode kernels for every rebroadcaster
-        #: (bit-identical to the scalar loops; the differential harness
-        #: in ``tests/core/test_origin_differential.py`` pins it)
-        self.batched_encode = batched_encode
+        #: stations encode each raw block once (a rebroadcaster built with
+        #: ``encode_cache=None`` encodes every block itself)
+        self.encode_cache = EncodeCache(telemetry=telemetry, name="system")
         self.lan = EthernetSegment(
             self.sim,
             bandwidth_bps=bandwidth_bps,
@@ -231,19 +148,13 @@ class EthernetSpeakerSystem:
             jitter=jitter,
             loss_rate=loss_rate,
             seed=seed,
-            batch_delivery=batched_delivery,
         )
         self._seed = seed
-        self._batched_delivery = batched_delivery
         #: every segment on this system — the main LAN plus relay-tree
         #: leaf LANs; wire accounting in ``pipeline_report`` sums them
         self.lans: List[EthernetSegment] = [self.lan]
         self.monitor = BandwidthMonitor(self.sim, self.lan,
                                         telemetry=telemetry)
-        #: ``add_speaker_cohort`` builds vectorized ``SpeakerCohort``s when
-        #: True; when False it expands to ordinary per-object speakers with
-        #: the same member-facing API (the differential baseline)
-        self.cohort = cohort
         self.producers: List[ProducerNode] = []
         self.speakers: List[SpeakerNode] = []
         self.cohorts: List[SpeakerCohort] = []
@@ -347,7 +258,6 @@ class EthernetSpeakerSystem:
     ) -> Rebroadcaster:
         kwargs.setdefault("telemetry", self.telemetry)
         kwargs.setdefault("encode_cache", self.encode_cache)
-        kwargs.setdefault("batched_encode", self.batched_encode)
         rb = Rebroadcaster(
             producer.machine, channel, master_path=master_path, **kwargs
         )
@@ -390,8 +300,7 @@ class EthernetSpeakerSystem:
         if housekeeping:
             machine.start_housekeeping()
         speaker_kwargs.setdefault("telemetry", self.telemetry)
-        if self.decode_cache is not None:
-            speaker_kwargs.setdefault("decode_cache", self.decode_cache)
+        speaker_kwargs.setdefault("decode_cache", self.decode_cache)
         group_ip = channel.group_ip if channel is not None else None
         port = channel.port if channel is not None else 0
         speaker = EthernetSpeaker(
@@ -424,31 +333,21 @@ class EthernetSpeakerSystem:
     ):
         """``members`` identical unity-gain speakers on ``channel``.
 
-        With the system's ``cohort=True`` default this costs one real
-        exemplar speaker plus numpy member rows and **one** delivery
-        event per frame (see :class:`~repro.core.cohort.SpeakerCohort`);
-        members that draw a divergent fate spill into full per-object
-        speakers mid-stream.  With ``cohort=False`` it expands into
-        ordinary :meth:`add_speaker` nodes behind the same member API —
-        the per-object baseline the differential harness races.
+        Costs one real exemplar speaker plus numpy member rows and **one**
+        delivery event per frame (see
+        :class:`~repro.core.cohort.SpeakerCohort`); members that draw a
+        divergent fate spill into full per-object speakers mid-stream.
+        ``speaker_kwargs`` are :meth:`add_speaker`'s, ``decode_cache`` and
+        ``telemetry`` included.  The per-object fleet a cohort must match
+        bit for bit lives in ``tests/oracles/fleet.py``.
         """
         name = name or f"cohort{len(self.cohorts)}"
-        if not self.cohort:
-            nodes = [
-                self.add_speaker(
-                    channel=channel, name=f"{name}-m{i}",
-                    cpu_freq_hz=cpu_freq_hz, block_seconds=block_seconds,
-                    vlan=vlan, **dict(speaker_kwargs),
-                )
-                for i in range(members)
-            ]
-            return _CompatCohort(nodes, channel)
+        speaker_kwargs.setdefault("decode_cache", self.decode_cache)
         cohort = SpeakerCohort(
             self.sim, self.lan, members, channel.group_ip, channel.port,
             ip=self._next_ip(), vlan=vlan, cpu_freq_hz=cpu_freq_hz,
             block_seconds=block_seconds, speaker_kwargs=speaker_kwargs,
             name=name, telemetry=self.telemetry,
-            decode_cache=self.decode_cache,
         )
         cohort.channel = channel
         self.cohorts.append(cohort)
@@ -491,8 +390,7 @@ class EthernetSpeakerSystem:
         fallback_timeout: float = 1.5,
         check_interval: float = 0.25,
         control_interval: float = 1.0,
-        nack: bool = False,
-        recovery: Optional[str] = None,
+        recovery: str = "none",
         retransmit_buffer: int = 64,
         nack_delay: Optional[float] = None,
         recover_timeout: Optional[float] = None,
@@ -514,9 +412,8 @@ class EthernetSpeakerSystem:
         :class:`~repro.net.wan.RelayNode` one tier up.  The hop's WAN
         profile (``bandwidth_bps``/``latency``/``jitter``/``loss_rate``)
         is per-hop; ``recovery`` picks the hop's loss-recovery ladder
-        (``"none"``/``"nack"``/``"fec"``/``"fec+nack"``; ``nack=True``
-        is the legacy alias for ``"nack"``) with the ``fec_*`` knobs
-        sizing the parity groups, ``fallback=True`` arms the local
+        (``"none"``/``"nack"``/``"fec"``/``"fec+nack"``) with the
+        ``fec_*`` knobs sizing the parity groups, ``fallback=True`` arms the local
         filler source, and ``wan_faults=dict(...)`` attaches a dedicated
         seeded :class:`~repro.net.faults.FaultInjector` to the uplink
         (GE bursty loss, duplication, corruption, bounded reorder — the
@@ -556,7 +453,7 @@ class EthernetSpeakerSystem:
             # the whole speaker fleet, a WAN hop's by its subtree
             self.wan_fault_injectors.append(injector)
         hop = WanHop(
-            link, relay.ingest, nack=nack, recovery=recovery,
+            link, relay.ingest, recovery=recovery,
             retransmit_buffer=retransmit_buffer, nack_delay=nack_delay,
             recover_timeout=recover_timeout,
             fec_k=fec_k, fec_r=fec_r, fec_interleave=fec_interleave,
@@ -601,7 +498,6 @@ class EthernetSpeakerSystem:
             jitter=jitter, loss_rate=loss_rate,
             seed=(seed if seed is not None
                   else self._seed + 501 + len(self.lans)),
-            batch_delivery=self._batched_delivery,
         )
         machine = Machine(self.sim, f"{name}-gw", cpu_freq_hz=cpu_freq_hz)
         machine.attach_network(segment, self._next_ip(), vlan=1)
@@ -659,7 +555,6 @@ class EthernetSpeakerSystem:
         self._mirrors.setdefault(id(producer), []).append(node)
         rb_kwargs.setdefault("telemetry", self.telemetry)
         rb_kwargs.setdefault("encode_cache", self.encode_cache)
-        rb_kwargs.setdefault("batched_encode", self.batched_encode)
         rb = Rebroadcaster(node.machine, channel, **rb_kwargs)
         self.rebroadcasters.append(rb)
         standby = WarmStandby(
@@ -754,7 +649,6 @@ class EthernetSpeakerSystem:
                 bandwidth_bps=bandwidth_bps,
                 latency=latency,
                 seed=self._seed + 9001,
-                batch_delivery=self._batched_delivery,
             )
         return self.mgmt_lan
 
@@ -994,7 +888,7 @@ class EthernetSpeakerSystem:
     def _fault_actions(self, target, kind: str):
         if kind not in ("crash", "hang"):
             raise ValueError(f"unknown fault kind {kind!r}")
-        if isinstance(target, (CohortMember, _CompatMember)):
+        if isinstance(target, CohortMember):
             fault = target.crash if kind == "crash" else target.hang
             return fault, target.cold_restart
         speaker = None
@@ -1169,14 +1063,8 @@ class EthernetSpeakerSystem:
                 return {}
             return hist.snapshot()
 
-        if self.decode_cache is not None:
-            cache_stats = self.decode_cache.stats
-        else:
-            cache_stats = DecodeCacheStats()
-        if self.encode_cache is not None:
-            enc_cache_stats = self.encode_cache.stats
-        else:
-            enc_cache_stats = EncodeCacheStats()
+        cache_stats = self.decode_cache.stats
+        enc_cache_stats = self.encode_cache.stats
 
         all_gaps = [
             g for n in self.speakers for g in n.stats.rejoin_gaps

@@ -31,6 +31,49 @@ def deliver_batch(nics, dgram) -> None:
         nic.deliver(dgram)
 
 
+def transmit_cohort(link, cohort, dgram, base_delay: float) -> None:
+    """The per-member fate loop a cohort's seat on ``link`` (an
+    :class:`EthernetSegment` or a switch port) stands in for.
+
+    Draw order per member is byte-identical to the links' per-receiver
+    loops (wire loss, then wire jitter, then the injector), so a seeded
+    cohort run and a per-object run consume the wire RNG in the same
+    sequence.  Members whose copy comes out clean share one delivery
+    event via ``finish_frame``; any other outcome diverges the member and
+    spills it at the exemplar's next boundary.
+    """
+    rng, loss_rate, jitter = link._rng, link.loss_rate, link.jitter
+    faults, sim = link.faults, link.sim
+    represented = 0
+    for tok in cohort.tokens:
+        if loss_rate and rng.random() < loss_rate:
+            link.stats.receiver_losses += 1
+            if tok.state == 0:
+                cohort.mark_divergent(tok, dgram, reason="wire-loss")
+            continue
+        delay = base_delay
+        if jitter:
+            delay += rng.uniform(0.0, jitter)
+        if faults is not None:
+            if tok.state == 0 and delay == base_delay:
+                fate = faults._copy_fate(tok, dgram, delay)
+                if fate == "clean":
+                    represented += 1
+                else:
+                    cohort.mark_divergent(tok, dgram, reason=fate)
+            else:
+                if tok.state == 0:
+                    cohort.mark_divergent(tok, dgram, reason="jitter")
+                faults.deliver(tok, dgram, delay)
+        elif tok.state == 0 and delay == base_delay:
+            represented += 1
+        else:
+            if tok.state == 0:
+                cohort.mark_divergent(tok, dgram, reason="jitter")
+            sim.schedule_transient(delay, tok.deliver, dgram)
+    cohort.finish_frame(dgram, base_delay, represented)
+
+
 @dataclass
 class Datagram:
     """A UDP datagram in flight (we model at the datagram level and account
@@ -76,12 +119,12 @@ class EthernetSegment:
         independent per-receiver drop probability.
     max_backlog:
         transmit queue bound in frames; beyond it frames drop.
-    batch_delivery:
-        schedule ONE event per frame that fans out to every matching NIC
-        (they all share the same latency on a jitter-free wire) instead
-        of one heap event per receiver copy.  Jitter or an attached
-        fault injector transparently falls back to per-receiver events;
-        virtual timing and delivery order are identical either way.
+
+    On a jitter-free wire with no fault injector attached, every matching
+    NIC hears a frame at the same instant, so :meth:`transmit` schedules
+    ONE event per frame that fans out to all of them; otherwise each
+    receiver copy is its own event.  Virtual timing, delivery order and
+    the seeded loss draws are the same either way.
     """
 
     def __init__(
@@ -94,7 +137,6 @@ class EthernetSegment:
         max_backlog: int = 200,
         seed: int = 0,
         name: str = "lan0",
-        batch_delivery: bool = True,
     ):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
@@ -107,7 +149,6 @@ class EthernetSegment:
         self.loss_rate = loss_rate
         self.max_backlog = max_backlog
         self.name = name
-        self.batch_delivery = batch_delivery
         self.stats = SegmentStats()
         self._rng = np.random.default_rng(seed)
         self._nics: List["Nic"] = []
@@ -153,48 +194,23 @@ class EthernetSegment:
         for tap in self._taps:
             tap(dgram)
         base_delay = done - now + self.latency
-        if self.batch_delivery and self.faults is None and not self.jitter:
-            # fast path: every receiver shares the same delivery instant,
-            # so the whole fan-out rides one scheduled event.  The loss
-            # draws happen here in NIC order, exactly as on the slow
-            # path, so seeded runs are bit-identical across both.
-            targets = []
-            for nic in self._nics:
-                if nic is sender or not nic.accepts(dgram):
-                    continue
-                cohort = getattr(nic, "cohort", None)
-                if cohort is not None:
-                    self._transmit_cohort(cohort, dgram, base_delay, 0.0)
-                    continue
-                if self.loss_rate and self._rng.random() < self.loss_rate:
-                    self.stats.receiver_losses += 1
-                    continue
-                targets.append(nic)
-            if targets:
-                if len(targets) == 1:
-                    self.sim.schedule_transient(
-                        base_delay, targets[0].deliver, dgram
-                    )
-                else:
-                    self.sim.schedule_transient(
-                        base_delay, deliver_batch, targets, dgram
-                    )
-                tel = self.sim.telemetry
-                if tel is not None:
-                    tel.observe("net.fanout_batch", len(targets),
-                                bounds=FANOUT_BOUNDS)
-            return True
+        # jitter-free and uninjected, every receiver shares one delivery
+        # instant, so the whole fan-out rides one scheduled event; the
+        # loss draws happen in NIC order either way
+        batching = self.faults is None and not self.jitter
+        targets = []
         for nic in self._nics:
-            if nic is sender:
-                continue
-            if not nic.accepts(dgram):
+            if nic is sender or not nic.accepts(dgram):
                 continue
             cohort = getattr(nic, "cohort", None)
             if cohort is not None:
-                self._transmit_cohort(cohort, dgram, base_delay, self.jitter)
+                transmit_cohort(self, cohort, dgram, base_delay)
                 continue
             if self.loss_rate and self._rng.random() < self.loss_rate:
                 self.stats.receiver_losses += 1
+                continue
+            if batching:
+                targets.append(nic)
                 continue
             delay = base_delay
             if self.jitter:
@@ -203,47 +219,20 @@ class EthernetSegment:
                 self.faults.deliver(nic, dgram, delay)
             else:
                 self.sim.schedule_transient(delay, nic.deliver, dgram)
-        return True
-
-    def _transmit_cohort(self, cohort, dgram: Datagram, base_delay: float,
-                         jitter: float) -> None:
-        """The per-member fate loop a cohort's LAN seat stands in for.
-
-        Draw order per member is byte-identical to the per-object loop
-        above (segment loss, then segment jitter, then the injector), so
-        a seeded cohort run and a per-object run consume the wire RNG in
-        the same sequence.  Members whose copy comes out clean share one
-        delivery event via ``finish_frame``; any other outcome diverges
-        the member and spills it at the exemplar's next boundary.
-        """
-        represented = 0
-        for tok in cohort.tokens:
-            if self.loss_rate and self._rng.random() < self.loss_rate:
-                self.stats.receiver_losses += 1
-                if tok.state == 0:
-                    cohort.mark_divergent(tok, dgram, reason="wire-loss")
-                continue
-            delay = base_delay
-            if jitter:
-                delay += self._rng.uniform(0.0, jitter)
-            if self.faults is not None:
-                if tok.state == 0 and delay == base_delay:
-                    fate = self.faults._copy_fate(tok, dgram, delay)
-                    if fate == "clean":
-                        represented += 1
-                    else:
-                        cohort.mark_divergent(tok, dgram, reason=fate)
-                else:
-                    if tok.state == 0:
-                        cohort.mark_divergent(tok, dgram, reason="jitter")
-                    self.faults.deliver(tok, dgram, delay)
-            elif tok.state == 0 and delay == base_delay:
-                represented += 1
+        if targets:
+            if len(targets) == 1:
+                self.sim.schedule_transient(
+                    base_delay, targets[0].deliver, dgram
+                )
             else:
-                if tok.state == 0:
-                    cohort.mark_divergent(tok, dgram, reason="jitter")
-                self.sim.schedule_transient(delay, tok.deliver, dgram)
-        cohort.finish_frame(dgram, base_delay, represented)
+                self.sim.schedule_transient(
+                    base_delay, deliver_batch, targets, dgram
+                )
+            tel = self.sim.telemetry
+            if tel is not None:
+                tel.observe("net.fanout_batch", len(targets),
+                            bounds=FANOUT_BOUNDS)
+        return True
 
     @property
     def utilisation_bps(self) -> float:

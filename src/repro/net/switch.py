@@ -23,7 +23,12 @@ import numpy as np
 
 from repro.metrics.telemetry import get_telemetry
 from repro.net.addr import is_broadcast, is_multicast
-from repro.net.segment import Datagram, FANOUT_BOUNDS, deliver_batch
+from repro.net.segment import (
+    Datagram,
+    FANOUT_BOUNDS,
+    deliver_batch,
+    transmit_cohort,
+)
 from repro.sim.core import Simulator
 
 
@@ -58,7 +63,6 @@ class SwitchedSegment:
         seed: int = 0,
         name: str = "switch0",
         telemetry=None,
-        batch_delivery: bool = True,
     ):
         if port_bps <= 0:
             raise ValueError("port bandwidth must be positive")
@@ -76,10 +80,6 @@ class SwitchedSegment:
         self.igmp_snooping = igmp_snooping
         self.max_egress_backlog = max_egress_backlog
         self.name = name
-        #: one delivery event per (frame, shared delay) group instead of
-        #: one per receiver port; falls back per-receiver under jitter or
-        #: an attached fault injector (see EthernetSegment.batch_delivery)
-        self.batch_delivery = batch_delivery
         self.stats = SwitchStats()
         self._rng = np.random.default_rng(seed)
         self._nics: List = []
@@ -124,9 +124,10 @@ class SwitchedSegment:
 
         tel = self.telemetry
         tracer = tel.tracer
-        batching = (
-            self.batch_delivery and self.faults is None and not self.jitter
-        )
+        # one delivery event per (frame, shared delay) group instead of one
+        # per receiver port, unless jitter or a fault injector gives each
+        # copy its own fate
+        batching = self.faults is None and not self.jitter
         #: delivery-time -> receivers sharing it (idle equal-speed ports
         #: all land on one instant, so multicast fan-out usually builds a
         #: single group); insertion order preserves per-receiver order
@@ -162,7 +163,7 @@ class SwitchedSegment:
                 # drop cable), then the per-member fate loop in the same
                 # draw order the per-object loop below uses
                 delay = out_done - now + self.latency
-                self._forward_cohort(cohort, dgram, delay)
+                transmit_cohort(self, cohort, dgram, delay)
                 delivered_any = True
                 continue
             if self.loss_rate and self._rng.random() < self.loss_rate:
@@ -189,39 +190,6 @@ class SwitchedSegment:
                 tel.observe("net.fanout_batch", len(nics),
                             bounds=FANOUT_BOUNDS)
         return delivered_any or not receivers
-
-    def _forward_cohort(self, cohort, dgram: Datagram, base_delay: float
-                        ) -> None:
-        """Per-member copy fates for a cohort port (see
-        ``EthernetSegment._transmit_cohort`` for the ordering contract)."""
-        represented = 0
-        for tok in cohort.tokens:
-            if self.loss_rate and self._rng.random() < self.loss_rate:
-                self.stats.receiver_losses += 1
-                if tok.state == 0:
-                    cohort.mark_divergent(tok, dgram, reason="wire-loss")
-                continue
-            delay = base_delay
-            if self.jitter:
-                delay += self._rng.uniform(0.0, self.jitter)
-            if self.faults is not None:
-                if tok.state == 0 and delay == base_delay:
-                    fate = self.faults._copy_fate(tok, dgram, delay)
-                    if fate == "clean":
-                        represented += 1
-                    else:
-                        cohort.mark_divergent(tok, dgram, reason=fate)
-                else:
-                    if tok.state == 0:
-                        cohort.mark_divergent(tok, dgram, reason="jitter")
-                    self.faults.deliver(tok, dgram, delay)
-            elif tok.state == 0 and delay == base_delay:
-                represented += 1
-            else:
-                if tok.state == 0:
-                    cohort.mark_divergent(tok, dgram, reason="jitter")
-                self.sim.schedule_transient(delay, tok.deliver, dgram)
-        cohort.finish_frame(dgram, base_delay, represented)
 
     # -- forwarding decision ------------------------------------------------------
 

@@ -288,16 +288,13 @@ class WanHop:
     idempotent anchors, and holding them would only delay re-anchoring.
     Parity frames are hop-local: consumed here, never forwarded, so FEC
     overhead on one hop is invisible to the rest of the tree.
-    ``nack=True`` is accepted as a back-compat alias for
-    ``recovery="nack"``.
     """
 
     def __init__(
         self,
         link: WanLink,
         deliver: Callable[[bytes], None],
-        nack: bool = False,
-        recovery: Optional[str] = None,
+        recovery: str = "none",
         retransmit_buffer: int = 64,
         nack_delay: Optional[float] = None,
         recover_timeout: Optional[float] = None,
@@ -308,8 +305,6 @@ class WanHop:
         fec_window: int = 256,
         name: str = "",
     ):
-        if recovery is None:
-            recovery = "nack" if nack else "none"
         if recovery not in RECOVERY_POLICIES:
             raise ValueError(
                 f"recovery={recovery!r} not one of {RECOVERY_POLICIES}"
@@ -317,8 +312,7 @@ class WanHop:
         self.link = link
         self.sim = link.sim
         self.recovery = recovery
-        #: NACK messages enabled (kept as a public bool for callers that
-        #: predate the ladder)
+        #: NACK messages enabled
         self.nack = recovery in ("nack", "fec+nack")
         self._fec_on = recovery in ("fec", "fec+nack")
         self._resequencing = recovery != "none"

@@ -3,7 +3,8 @@
 The batched whole-block kernels (:mod:`repro.codec.batch`) claim **bit
 identity** with the per-frame/per-band scalar loops they replace — on the
 wire (encode) and in the recovered samples (decode), including the exact
-exception a malformed stream raises.  These tests pin that claim with
+exception a malformed stream raises.  The scalar arm of every comparison
+is an oracle from ``tests/oracles/codec.py``.  These tests pin that claim with
 hypothesis sweeps over dtypes, odd block sizes, empty blocks, every Rice
 parameter 0..30, and random byte-level corruption.
 """
@@ -20,11 +21,7 @@ from repro.codec.batch import (
     decode_bands_batched,
     encode_bands_batched,
 )
-from repro.codec.mdct import (
-    _reference_mdct_synthesis,
-    mdct_analysis,
-    mdct_synthesis,
-)
+from repro.codec.mdct import mdct_analysis, mdct_synthesis
 from repro.codec.mp3like import Mp3LikeCodec
 from repro.codec.rice import (
     _reference_rice_decode,
@@ -32,6 +29,11 @@ from repro.codec.rice import (
     rice_encode,
 )
 from repro.codec.vorbislike import VorbisLikeCodec, _model
+from tests.oracles.codec import (
+    reference_mdct_synthesis,
+    scalar_decode_block,
+    scalar_encode_block,
+)
 
 
 def _signal(rng, n, channels, kind):
@@ -53,8 +55,22 @@ def _signal(rng, n, channels, kind):
     return np.clip(x, -1.0, 1.0)
 
 
+class _Scalar:
+    """A codec whose blocks run the scalar oracle."""
+
+    def __init__(self, codec):
+        self.codec = codec
+
+    def encode_block(self, samples):
+        return scalar_encode_block(self.codec, samples)
+
+    def decode_block(self, data):
+        return scalar_decode_block(self.codec, data)
+
+
 def _pair(cls, **kwargs):
-    return cls(batched=True, **kwargs), cls(batched=False, **kwargs)
+    codec = cls(**kwargs)
+    return codec, _Scalar(codec)
 
 
 def _outcome(codec, data):
@@ -130,7 +146,7 @@ def test_mdct_synthesis_matches_reference_loop(length, n, seed):
     # quantisation-shaped coefficients too: signed zeros and exact ties
     coeffs = np.round(coeffs * 8.0) / 8.0
     fast = mdct_synthesis(coeffs, length)
-    slow = _reference_mdct_synthesis(coeffs, length)
+    slow = reference_mdct_synthesis(coeffs, length)
     assert fast.tobytes() == slow.tobytes()  # bitwise, not approx
 
 
@@ -287,30 +303,25 @@ def test_mp3_corrupt_stream_same_outcome(n, cut, flips, seed):
 # stand-in model that exposes just the edges and the chosen widths.
 
 
-def _model_for(edges, widths_row=None):
-    return SimpleNamespace(
+def _reference_encode(coeffs, edges, widths, entropy="fixed"):
+    """The scalar encode loop on a stand-in model that exposes just the
+    edges and hands out the chosen widths one frame at a time."""
+    rows = iter(widths)
+    model = SimpleNamespace(
         edges=np.asarray(edges, dtype=np.int64),
         n_bands=len(edges) - 1,
         band_energies=lambda frame: None,
-        allocate_widths=lambda energies, quality: widths_row,
+        allocate_widths=lambda energies, quality: next(rows),
     )
-
-
-def _reference_encode(coeffs, edges, widths, entropy="fixed"):
-    codec = VorbisLikeCodec(batched=False, entropy=entropy)
-    return b"".join(
-        codec._reference_encode_frame(frame, _model_for(edges, row))
-        for frame, row in zip(coeffs, widths)
+    return VorbisLikeCodec(entropy=entropy)._reference_encode(
+        np.asarray(coeffs), model
     )
 
 
 def _reference_decode(data, offset, n_frames, edges):
-    codec = VorbisLikeCodec(batched=False)
-    model = _model_for(edges)
-    out = np.zeros((n_frames, edges[-1]))
-    for f in range(n_frames):
-        offset = codec._reference_decode_frame(data, offset, out[f], model)
-    return out, offset
+    return VorbisLikeCodec()._reference_decode_bands(
+        data, offset, n_frames, np.asarray(edges, dtype=np.int64)
+    )
 
 
 def _assert_kernels_match(coeffs, edges, widths, *, prefix=b"", suffix=b""):
@@ -398,7 +409,7 @@ def test_stereo_side_plane_decodes_from_its_offset(entropy):
     header: decode both planes from a memoryview, like a speaker does."""
     rng = np.random.default_rng(11)
     x = _signal(rng, 3000, 2, "noise")
-    fast = VorbisLikeCodec(quality=7, entropy=entropy, batched=True)
+    fast = VorbisLikeCodec(quality=7, entropy=entropy)
     blob = fast.encode_block(x)
     header, num_frames = 10, (3000 + 511) // 512 + 1
     edges = _model(fast.sample_rate, fast.frame_size).edges

@@ -114,14 +114,16 @@ def test_invalid_bound_rejected():
 
 
 def _run_fanout(shared_decode, speakers=4, telemetry=True):
-    system = EthernetSpeakerSystem(
-        telemetry=telemetry, shared_decode=shared_decode
-    )
+    """``shared_decode=False`` builds every speaker with the per-node
+    ``decode_cache=None`` opt-out: each decodes every block itself."""
+    system = EthernetSpeakerSystem(telemetry=telemetry)
     producer = system.add_producer()
     channel = system.add_channel("hall", params=CD_QUALITY,
                                  compress="always")
     system.add_rebroadcaster(producer, channel)
-    nodes = [system.add_speaker(channel=channel) for _ in range(speakers)]
+    node_kwargs = {} if shared_decode else {"decode_cache": None}
+    nodes = [system.add_speaker(channel=channel, **node_kwargs)
+             for _ in range(speakers)]
     system.play_pcm(producer, music(1.0, 44100, seed=7), CD_QUALITY)
     system.run(until=4.0)
     return system, nodes
@@ -149,7 +151,8 @@ def test_hit_rate_reconciles_in_pipeline_report():
 def test_disabled_cache_reports_zero():
     system, _ = _run_fanout(shared_decode=False)
     report = system.pipeline_report()
-    assert system.decode_cache is None
+    stats = system.decode_cache.stats
+    assert stats.hits == stats.misses == 0
     assert report.decode_cache_hits == 0
     assert report.decode_cache_misses == 0
     assert "decode cache hits" not in report.summary()
@@ -170,7 +173,7 @@ def test_shared_decode_playout_is_bit_identical():
 
 
 def test_gain_adjusted_speaker_bypasses_cache():
-    system = EthernetSpeakerSystem(telemetry=True, shared_decode=True)
+    system = EthernetSpeakerSystem(telemetry=True)
     producer = system.add_producer()
     channel = system.add_channel("hall", params=CD_QUALITY,
                                  compress="always")

@@ -109,7 +109,7 @@ def test_invalid_bound_rejected():
 
 
 def test_same_source_channels_hit_the_cache():
-    system = EthernetSpeakerSystem(telemetry=True, shared_encode=True)
+    system = EthernetSpeakerSystem(telemetry=True)
     pcm = music(1.0, 44100, seed=7)
     for i in range(2):
         producer = system.add_producer(
@@ -142,23 +142,24 @@ def test_same_source_channels_hit_the_cache():
 
 
 def test_disabled_cache_reports_zero():
-    system = EthernetSpeakerSystem(telemetry=True, shared_encode=False)
+    system = EthernetSpeakerSystem(telemetry=True)
     producer = system.add_producer()
     channel = system.add_channel("hall", params=CD_QUALITY,
                                  compress="always")
-    system.add_rebroadcaster(producer, channel)
+    system.add_rebroadcaster(producer, channel, encode_cache=None)
     system.add_speaker(channel=channel)
     system.play_pcm(producer, music(0.5, 44100, seed=7), CD_QUALITY)
     system.run(until=3.0)
     report = system.pipeline_report()
-    assert system.encode_cache is None
+    stats = system.encode_cache.stats
+    assert stats.hits == stats.misses == 0
     assert report.encode_cache_hits == 0
     assert report.encode_cache_misses == 0
     assert "encode cache hits" not in report.summary()
 
 
 def test_raw_channel_bypasses_cache():
-    system = EthernetSpeakerSystem(telemetry=True, shared_encode=True)
+    system = EthernetSpeakerSystem(telemetry=True)
     producer = system.add_producer()
     channel = system.add_channel("raw", params=CD_QUALITY,
                                  compress="never")
@@ -171,7 +172,7 @@ def test_raw_channel_bypasses_cache():
 
 
 def test_synthetic_estimate_bypasses_cache():
-    system = EthernetSpeakerSystem(telemetry=True, shared_encode=True)
+    system = EthernetSpeakerSystem(telemetry=True)
     producer = system.add_producer()
     channel = system.add_channel("est", params=CD_QUALITY,
                                  compress="always")
@@ -185,12 +186,14 @@ def test_synthetic_estimate_bypasses_cache():
 
 def test_cached_wire_bytes_identical_to_uncached():
     def run(shared_encode):
-        system = EthernetSpeakerSystem(telemetry=False,
-                                       shared_encode=shared_encode)
+        system = EthernetSpeakerSystem(telemetry=False)
         producer = system.add_producer()
         channel = system.add_channel("hall", params=CD_QUALITY,
                                      compress="always")
-        system.add_rebroadcaster(producer, channel)
+        system.add_rebroadcaster(
+            producer, channel,
+            encode_cache=system.encode_cache if shared_encode else None,
+        )
         node = system.add_speaker(channel=channel)
         pcm = music(0.4, 44100, seed=7)
         # play the same content twice so the cache actually hits

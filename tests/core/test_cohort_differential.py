@@ -2,11 +2,11 @@
 to the per-object fleet it stands in for.
 
 Every scenario builds the same deployment twice on the same seeds — once
-with ``cohort=True`` (one exemplar + numpy member rows + mid-stream
-spills) and once with ``cohort=False`` (N real ``add_speaker`` nodes
-behind the same member API) — and asserts that every member's playout
-(``play_log``, ``write_offsets``), every ``SpeakerStats`` counter, and
-the channel/pipeline ledgers agree exactly.
+with ``add_speaker_cohort`` (one exemplar + numpy member rows + mid-stream
+spills) and once with the per-object oracle ``tests/oracles/fleet.py``
+(N real ``add_speaker`` nodes behind the same member API) — and asserts
+that every member's playout (``play_log``, ``write_offsets``), every
+``SpeakerStats`` counter, and the channel/pipeline ledgers agree exactly.
 
 Host-side-only quantities are excluded from the ledger comparison: the
 decode cache sees different request streams (one exemplar vs N nodes),
@@ -21,6 +21,7 @@ import pytest
 
 from repro.audio.params import CD_QUALITY
 from repro.core import EthernetSpeakerSystem
+from tests.oracles.fleet import add_object_fleet
 
 MEMBERS = 6
 STREAM_SECONDS = 3.0
@@ -36,15 +37,21 @@ PIPELINE_FIELDS = (
 )
 
 
-def build(cohort, scenario, seed):
-    system = EthernetSpeakerSystem(seed=seed, cohort=cohort)
+def add_fleet(system, cohort, channel, members, **speaker_kwargs):
+    if cohort:
+        return system.add_speaker_cohort(channel, members, **speaker_kwargs)
+    return add_object_fleet(system, channel, members, **speaker_kwargs)
+
+
+def build(cohort, scenario, seed, **speaker_kwargs):
+    system = EthernetSpeakerSystem(seed=seed)
     producer = system.add_producer()
     channel = system.add_channel("hall", params=CD_QUALITY)
     rb = system.add_rebroadcaster(producer, channel, control_interval=0.5)
     if scenario == "crash-failover":
         system.add_standby(producer, channel, takeover_timeout=1.0,
                            check_interval=0.2, control_interval=0.5)
-    fleet = system.add_speaker_cohort(channel, MEMBERS)
+    fleet = add_fleet(system, cohort, channel, MEMBERS, **speaker_kwargs)
     if scenario == "ge-loss-dup-reorder":
         system.inject_faults(loss_rate=0.05, burst_length=3,
                              duplicate_rate=0.02, reorder_rate=0.03,
@@ -110,11 +117,11 @@ def test_detach_mid_stream_matches_per_object_fleet(seed):
     counters don't double-count, and the fleets stay bit-identical."""
 
     def run(cohort):
-        system = EthernetSpeakerSystem(seed=seed, cohort=cohort)
+        system = EthernetSpeakerSystem(seed=seed)
         producer = system.add_producer()
         channel = system.add_channel("hall", params=CD_QUALITY)
         system.add_rebroadcaster(producer, channel, control_interval=0.5)
-        fleet = system.add_speaker_cohort(channel, MEMBERS)
+        fleet = add_fleet(system, cohort, channel, MEMBERS)
         inj = system.inject_faults(reorder_rate=0.15, reorder_window=8,
                                    reorder_hold=30.0, loss_rate=0.03,
                                    burst_length=2.0, seed=seed + 100)
@@ -168,3 +175,21 @@ def test_cohort_telemetry_rows():
     assert report.cohort_events_saved == fleet.events_saved > 0
     text = report.summary()
     assert "cohort members" in text and "cohort spills" in text
+
+
+@pytest.mark.parametrize("override", ["decode_cache", "telemetry"])
+def test_cohort_takes_add_speaker_overrides(override):
+    """``add_speaker_cohort`` accepts ``add_speaker``'s per-node
+    ``decode_cache=None``/``telemetry=None`` overrides (they used to
+    collide with the cohort's own keywords): the exemplar and every
+    spilled clone take them, and playout is bit-identical to the
+    default cohort."""
+    _, default = build(True, "ge-loss-dup-reorder", seed=7)
+    system, fleet = build(True, "ge-loss-dup-reorder", seed=7,
+                          **{override: None})
+    assert fleet.spills > 0
+    assert_fleets_identical(fleet, default)
+    if override == "decode_cache":
+        # nobody in the run decoded through the shared cache
+        stats = system.decode_cache.stats
+        assert stats.hits == stats.misses == 0

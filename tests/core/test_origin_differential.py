@@ -2,19 +2,21 @@
 the scalar origin it replaces.
 
 Every scenario builds the same multi-channel station twice on the same
-seeds — once with ``batched_encode=True`` (whole-block numpy kernels)
-and once with ``batched_encode=False`` (the per-frame/per-band scalar
-reference loops) — and asserts that every speaker's playout
+seeds — once as shipped (whole-block numpy kernels) and once with
+``VorbisLikeCodec.encode_block`` swapped for the scalar oracle in
+``tests/oracles/codec.py`` (the per-frame/per-band reference loops) —
+and asserts that every speaker's playout
 (``play_log``, ``write_offsets``), every ``SpeakerStats`` counter, and
 the channel/pipeline ledgers agree exactly, clean and under GE faults.
 
-The encode cache gets the same treatment: enabling it may only change
+The encode cache gets the same treatment: using it may only change
 host-side work (its own hit/miss counters), never a wire byte, a played
 sample, or the conservation ledger — cache counters are itemised
 out-of-band of the conservation bound.
 """
 
 import dataclasses
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.audio.params import CD_QUALITY
 from repro.codec import CodecID, VorbisLikeCodec
 from repro.core import EthernetSpeakerSystem
 from repro.core.protocol import DataPacket, parse_packet
+from tests.oracles.codec import scalar_decode_block, scalar_encode_block
 
 CHANNELS = 2
 SPEAKERS = 2
@@ -40,15 +43,19 @@ PIPELINE_FIELDS = (
 )
 
 
-def build(scenario, seed, *, batched_encode=True, shared_encode=True,
+@contextmanager
+def scalar_origin(monkeypatch):
+    """Every encode in the block runs the scalar oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(VorbisLikeCodec, "encode_block", scalar_encode_block)
+        yield
+
+
+def build(scenario, seed, *, shared_encode=True,
           channels=CHANNELS, speakers=SPEAKERS,
           stream_seconds=STREAM_SECONDS, horizon=HORIZON, tap=None):
-    system = EthernetSpeakerSystem(
-        seed=seed,
-        telemetry=True,
-        batched_encode=batched_encode,
-        shared_encode=shared_encode,
-    )
+    system = EthernetSpeakerSystem(seed=seed, telemetry=True)
+    encode_cache = system.encode_cache if shared_encode else None
     if tap is not None:
         system.lan.add_tap(tap)
     pcm = music(stream_seconds, 44100, seed=seed)
@@ -62,7 +69,8 @@ def build(scenario, seed, *, batched_encode=True, shared_encode=True,
         channel = system.add_channel(f"ch{i}", params=CD_QUALITY,
                                      compress="always")
         system.add_rebroadcaster(producer, channel, control_interval=0.5,
-                                 master_path=f"/dev/vadm{i}")
+                                 master_path=f"/dev/vadm{i}",
+                                 encode_cache=encode_cache)
         for _ in range(speakers):
             nodes.append(system.add_speaker(channel=channel))
         system.play_pcm(producer, pcm, CD_QUALITY,
@@ -106,9 +114,10 @@ def assert_ledgers_identical(report_a, report_b):
 @pytest.mark.parametrize("scenario", [
     "clean", "ge-loss-dup-reorder", "corruption",
 ])
-def test_batched_origin_matches_scalar_origin(scenario, seed):
-    sys_fast, nodes_fast = build(scenario, seed, batched_encode=True)
-    sys_slow, nodes_slow = build(scenario, seed, batched_encode=False)
+def test_batched_origin_matches_scalar_origin(scenario, seed, monkeypatch):
+    sys_fast, nodes_fast = build(scenario, seed)
+    with scalar_origin(monkeypatch):
+        sys_slow, nodes_slow = build(scenario, seed)
     assert nodes_fast[0].speaker.stats.played > 0
     assert_fleets_identical(nodes_fast, nodes_slow)
     assert_ledgers_identical(sys_fast.pipeline_report(),
@@ -116,30 +125,31 @@ def test_batched_origin_matches_scalar_origin(scenario, seed):
 
 
 @pytest.mark.parametrize("seed", [7, 23])
-def test_clean_station_decodes_every_wire_payload_both_ways(seed):
+def test_clean_station_decodes_every_wire_payload_both_ways(seed,
+                                                          monkeypatch):
     """Both fleets above decode with the batched kernel, and a speaker
     counts any decode exception as ``decode_failed`` — so a decode-kernel
     bug would read as modelled loss.  On a clean wire nothing may fail to
     decode, and every data payload on the wire must decode to the same
     samples through the batched kernel and the scalar reference loop."""
     wire = []
-    for batched_encode in (True, False):
-        _, nodes = build("clean", seed, batched_encode=batched_encode,
-                         tap=lambda dgram: wire.append(dgram.payload))
+    for label, arm in (("batched", nullcontext()),
+                       ("scalar", scalar_origin(monkeypatch))):
+        with arm:
+            _, nodes = build("clean", seed,
+                             tap=lambda dgram: wire.append(dgram.payload))
         for i, node in enumerate(nodes):
             assert node.speaker.stats.played > 0
             assert node.speaker.stats.decode_failed == 0, \
-                f"speaker {i} failed to decode (batched_encode=" \
-                f"{batched_encode})"
+                f"speaker {i} failed to decode ({label} encode)"
     data = [p for p in map(parse_packet, wire) if isinstance(p, DataPacket)]
     assert data
-    fast = VorbisLikeCodec(sample_rate=CD_QUALITY.sample_rate, batched=True)
-    slow = VorbisLikeCodec(sample_rate=CD_QUALITY.sample_rate, batched=False)
+    codec = VorbisLikeCodec(sample_rate=CD_QUALITY.sample_rate)
     for packet in data:
         assert packet.codec_id == CodecID.VORBIS_LIKE
         # the payload is a memoryview into the frame, as speakers see it
-        assert fast.decode_block(packet.payload).tobytes() == \
-            slow.decode_block(packet.payload).tobytes()
+        assert codec.decode_block(packet.payload).tobytes() == \
+            scalar_decode_block(codec, packet.payload).tobytes()
 
 
 @pytest.mark.parametrize("seed", [7, 23])
@@ -150,7 +160,8 @@ def test_encode_cache_changes_nothing_but_its_counters(seed):
                                shared_encode=False)
     # both channels play the same source, so the second one hits
     assert sys_on.encode_cache.stats.hits > 0
-    assert sys_off.encode_cache is None
+    off_stats = sys_off.encode_cache.stats
+    assert off_stats.hits == off_stats.misses == 0
     assert_fleets_identical(nodes_on, nodes_off)
     report_on, report_off = (sys_on.pipeline_report(),
                              sys_off.pipeline_report())

@@ -186,7 +186,8 @@ def test_reordering_wan_keeps_leaf_monotonic():
 def test_nack_recovers_lost_frames():
     def run(nack):
         s, p, spk = build_tree(seed=3, tiers=1, latency=0.03, loss_rate=0.08,
-                               wan_seed=11, nack=nack)
+                               wan_seed=11,
+                               recovery="nack" if nack else "none")
         s.play_synthetic(p, 10.0, LOW)
         s.run(until=12.0)
         return s, spk
