@@ -120,6 +120,9 @@ class _CohortBackplane:
         if nic in self._nics:
             self._nics.remove(nic)
 
+    def invalidate_receivers(self) -> None:
+        pass  # nothing is ever transmitted here, so nothing is cached
+
     def transmit(self, dgram, sender=None) -> bool:  # pragma: no cover
         return True
 

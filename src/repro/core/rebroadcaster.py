@@ -37,7 +37,11 @@ from repro.sim.resources import QueueClosed
 class RebroadcasterStats:
     control_sent: int = 0
     data_sent: int = 0
+    #: data frames the segment refused (the data ledger's wire deficit)
     send_failures: int = 0
+    #: control frames the segment refused; no listener's ledger counts
+    #: control frames, so these are kept apart from ``send_failures``
+    control_send_failures: int = 0
     raw_bytes: int = 0
     sent_payload_bytes: int = 0
     records_in: int = 0
@@ -287,6 +291,7 @@ class Rebroadcaster:
         self._c_raw.inc(len(payload))
         self._c_wire.inc(len(wire_payload))
         if not ok:
+            self.stats.send_failures += 1
             self._c_fail.inc()
         else:
             tracer.flow_begin(
@@ -348,7 +353,8 @@ class Rebroadcaster:
             epoch=self.epoch,
         )
         self._last_control = self.machine.sim.now
-        yield from self._send(sock, packet.encode())
+        if not (yield from self._send(sock, packet.encode())):
+            self.stats.control_send_failures += 1
         self.stats.control_sent += 1
         self._c_ctl.inc()
 
@@ -375,7 +381,4 @@ class Rebroadcaster:
         # sendto syscall: trap + copyin of the datagram
         cycles = machine.syscall_cycles + machine.copy_cycles_per_byte * len(wire)
         yield machine.cpu.run(cycles, domain="sys")
-        ok = sock.sendto(wire, (self.channel.group_ip, self.channel.port))
-        if not ok:
-            self.stats.send_failures += 1
-        return ok
+        return sock.sendto(wire, (self.channel.group_ip, self.channel.port))

@@ -30,6 +30,7 @@ prevents double restarts when both signals fire).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -60,6 +61,7 @@ from repro.mgmt.discovery import (
     DISCOVERY_GROUP,
     DISCOVERY_PORT,
     DISCOVERY_SOLICIT_GROUP,
+    lease_deadline,
     lease_expired,
 )
 from repro.metrics.telemetry import get_telemetry
@@ -125,6 +127,15 @@ class FleetController:
 
     Runs on its own machine — preferentially on a management-only
     segment so registry churn cannot contend with audio traffic.
+
+    The lease scan runs after every inbound PDU and every idle
+    ``check_interval``, but a record only changes state when its lease
+    lapses or, with ``prune_after`` set, when a dead record comes due
+    for pruning.  The controller keeps a lower bound on the earliest such
+    instant (``_next_change``) and skips scans before it: each
+    registry write in :meth:`_handle_adp` lowers the bound, each full
+    scan recomputes it.  ``default_valid_time`` and ``prune_after`` feed
+    the bound, so they are fixed at construction.
     """
 
     #: CPU cycles to process one inbound PDU or send one command
@@ -180,6 +191,9 @@ class FleetController:
         self._seq = 0
         self._listener: Optional[Process] = None
         self._txns: List[Process] = []
+        #: no record can expire or come due for pruning at or before this
+        #: instant, so a lease scan up to it would find nothing to do
+        self._next_change = math.inf
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -206,6 +220,7 @@ class FleetController:
         advertising interval."""
         self.crash()
         self.entities.clear()
+        self._next_change = math.inf
         self._rng = random.Random(self.seed)
         self.stats.restarts += 1
         return self.start()
@@ -302,6 +317,7 @@ class FleetController:
                 rec.available_index = pkt.available_index
                 rec.epoch = pkt.epoch
                 rec.last_seen = self.sim.now
+                self._note_change(rec)
                 self.stats.adp_advertises += 1
                 self._c_adv.inc()
                 return
@@ -319,6 +335,7 @@ class FleetController:
                 last_seen=self.sim.now,
             )
             self.entities[pkt.entity_id] = rec
+            self._note_change(rec)
             self.stats.adp_advertises += 1
             self._c_adv.inc()
             if self.on_available is not None:
@@ -329,12 +346,37 @@ class FleetController:
             if rec is not None and rec.state == ENT_AVAILABLE:
                 rec.state = ENT_DEPARTED
                 rec.last_seen = self.sim.now
+                self._note_change(rec)
                 self.stats.departs += 1
                 if self.on_departed is not None:
                     self.on_departed(rec)
 
+    def _change_at(self, rec: EntityRecord) -> float:
+        """A lower bound on when ``rec`` next changes state.  Each bound
+        is the same float expression its test in :meth:`_scan_leases`
+        compares ``now`` against, so ``now <= bound`` means the test is
+        still false."""
+        if rec.state == ENT_AVAILABLE:
+            return lease_deadline(
+                rec.last_seen, rec.valid_time or self.default_valid_time
+            )
+        prune_after = self.prune_after
+        if prune_after is None:
+            return math.inf  # dead records are kept forever
+        # the prune test subtracts (``now - last_seen > prune_after``):
+        # step down past any rounding so the bound never lies late
+        bound = rec.last_seen + prune_after
+        while bound - rec.last_seen > prune_after:
+            bound = math.nextafter(bound, -math.inf)
+        return bound
+
+    def _note_change(self, rec: EntityRecord) -> None:
+        self._next_change = min(self._next_change, self._change_at(rec))
+
     def _scan_leases(self) -> None:
         now = self.sim.now
+        if now <= self._next_change:
+            return
         dead: List[int] = []
         for rec in self.entities.values():
             if rec.state == ENT_AVAILABLE:
@@ -357,9 +399,18 @@ class FleetController:
         for entity_id in dead:
             del self.entities[entity_id]
             self.stats.pruned += 1
-        self._txns = [t for t in self._txns if t.alive]
+        self._next_change = min(
+            map(self._change_at, self.entities.values()), default=math.inf
+        )
 
     # -- transactions --------------------------------------------------------
+
+    def _track(self, proc: Process) -> Process:
+        """Remember an in-flight transaction so :meth:`crash` can kill
+        it, forgetting the ones that already finished."""
+        self._txns = [t for t in self._txns if t.alive]
+        self._txns.append(proc)
+        return proc
 
     def _txn_deadline(self, attempt: int) -> float:
         """Seeded retry timeout: linear back-off plus deterministic
@@ -374,8 +425,7 @@ class FleetController:
         proc = self.machine.spawn(
             self._enumerate(rec), name=f"{self.name}/aecp:{rec.name}"
         )
-        self._txns.append(proc)
-        return proc
+        return self._track(proc)
 
     def _enumerate(self, rec: EntityRecord):
         sock = self.stack.socket()
@@ -449,8 +499,7 @@ class FleetController:
             ),
             name=f"{self.name}/acmp-connect:{rec.name}",
         )
-        self._txns.append(proc)
-        return proc
+        return self._track(proc)
 
     def disconnect(
         self, listener_entity_id: int, talker_entity_id: int = 0
@@ -464,8 +513,7 @@ class FleetController:
             ),
             name=f"{self.name}/acmp-disconnect:{rec.name}",
         )
-        self._txns.append(proc)
-        return proc
+        return self._track(proc)
 
     def _acmp(
         self,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Set
+from typing import Callable, FrozenSet, Optional
 
 from repro.net.addr import is_broadcast, is_multicast
 from repro.net.segment import Datagram, EthernetSegment
@@ -16,6 +16,11 @@ class Nic:
     ``join_group``).  VLAN tagging isolates ports — the paper's interim
     security measure of "operating the Ethernet Speakers in their own
     VLAN" (§5.1).
+
+    The segment caches which NICs accept each ``(dst_ip, vlan)``, so
+    every input of :meth:`accepts` is guarded: writing ``ip``, ``vlan``
+    or ``promiscuous``, and ``join_group``/``leave_group``, call
+    ``segment.invalidate_receivers()``.  ``groups`` is read-only.
     """
 
     def __init__(
@@ -27,31 +32,66 @@ class Nic:
         name: str = "",
     ):
         self.segment = segment
-        self.ip = ip
-        self.vlan = vlan
-        self.promiscuous = promiscuous
+        self._ip = ip
+        self._vlan = vlan
+        self._promiscuous = promiscuous
+        self._groups: FrozenSet[str] = frozenset()
         self.name = name or f"nic-{ip}"
-        self.groups: Set[str] = set()
         self.rx_handler: Optional[Callable[[Datagram], None]] = None
         self.rx_frames = 0
         segment.attach(self)
 
+    @property
+    def ip(self) -> str:
+        return self._ip
+
+    @ip.setter
+    def ip(self, value: str) -> None:
+        self._ip = value
+        self.segment.invalidate_receivers()
+
+    @property
+    def vlan(self) -> int:
+        return self._vlan
+
+    @vlan.setter
+    def vlan(self, value: int) -> None:
+        self._vlan = value
+        self.segment.invalidate_receivers()
+
+    @property
+    def promiscuous(self) -> bool:
+        return self._promiscuous
+
+    @promiscuous.setter
+    def promiscuous(self, value: bool) -> None:
+        self._promiscuous = value
+        self.segment.invalidate_receivers()
+
+    @property
+    def groups(self) -> FrozenSet[str]:
+        return self._groups
+
     def join_group(self, group_ip: str) -> None:
         if not is_multicast(group_ip):
             raise ValueError(f"{group_ip} is not a multicast address")
-        self.groups.add(group_ip)
+        if group_ip not in self._groups:
+            self._groups = self._groups | {group_ip}
+            self.segment.invalidate_receivers()
 
     def leave_group(self, group_ip: str) -> None:
-        self.groups.discard(group_ip)
+        if group_ip in self._groups:
+            self._groups = self._groups - {group_ip}
+            self.segment.invalidate_receivers()
 
     def accepts(self, dgram: Datagram) -> bool:
-        if dgram.vlan != self.vlan:
+        if dgram.vlan != self._vlan:
             return False  # VLAN isolation happens before anything else
-        if self.promiscuous:
+        if self._promiscuous:
             return True
-        if dgram.dst_ip == self.ip or is_broadcast(dgram.dst_ip):
+        if dgram.dst_ip == self._ip or is_broadcast(dgram.dst_ip):
             return True
-        return is_multicast(dgram.dst_ip) and dgram.dst_ip in self.groups
+        return is_multicast(dgram.dst_ip) and dgram.dst_ip in self._groups
 
     def deliver(self, dgram: Datagram) -> None:
         self.rx_frames += 1

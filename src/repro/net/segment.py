@@ -12,7 +12,7 @@ on slow links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -125,6 +125,12 @@ class EthernetSegment:
     ONE event per frame that fans out to all of them; otherwise each
     receiver copy is its own event.  Virtual timing, delivery order and
     the seeded loss draws are the same either way.
+
+    The NICs that accept a ``(dst_ip, vlan)`` are found once with
+    :meth:`Nic.accepts <repro.net.nic.Nic.accepts>` and kept, in attach
+    order, until :meth:`invalidate_receivers` drops them.  ``attach``,
+    ``detach``, and a NIC's ``ip``/``vlan``/``promiscuous`` writes and
+    group joins and leaves all call it.
     """
 
     def __init__(
@@ -152,6 +158,8 @@ class EthernetSegment:
         self.stats = SegmentStats()
         self._rng = np.random.default_rng(seed)
         self._nics: List["Nic"] = []
+        #: (dst_ip, vlan) -> accepting NICs in attach order
+        self._receivers: Dict[Tuple[str, int], Tuple["Nic", ...]] = {}
         self._wire_free_at = 0.0
         self._taps: List[Callable[[Datagram], None]] = []
         #: optional FaultInjector interposed on receiver deliveries
@@ -164,10 +172,27 @@ class EthernetSegment:
 
     def attach(self, nic: "Nic") -> None:
         self._nics.append(nic)
+        self._receivers.clear()
 
     def detach(self, nic: "Nic") -> None:
         if nic in self._nics:
             self._nics.remove(nic)
+            self._receivers.clear()
+
+    def invalidate_receivers(self) -> None:
+        """Forget the cached receiver sets; an input of some attached
+        NIC's :meth:`accepts` changed."""
+        self._receivers.clear()
+
+    def receivers(self, dgram: Datagram) -> Tuple["Nic", ...]:
+        """Every attached NIC that accepts ``dgram``, in attach order
+        (the sender included, if it accepts its own frame)."""
+        key = (dgram.dst_ip, dgram.vlan)
+        found = self._receivers.get(key)
+        if found is None:
+            found = tuple(n for n in self._nics if n.accepts(dgram))
+            self._receivers[key] = found
+        return found
 
     def add_tap(self, fn: Callable[[Datagram], None]) -> None:
         """Register a monitor called for every frame that makes it onto
@@ -180,7 +205,8 @@ class EthernetSegment:
         """Put a frame on the wire.  Returns False if the backlog is full
         and the frame was dropped at the sender."""
         now = self.sim.now
-        tx_time = dgram.wire_size * 8 / self.bandwidth_bps
+        wire_size = dgram.wire_size
+        tx_time = wire_size * 8 / self.bandwidth_bps
         backlog = max(0.0, self._wire_free_at - now)
         if backlog / max(tx_time, 1e-12) > self.max_backlog:
             self.stats.frames_dropped += 1
@@ -189,7 +215,7 @@ class EthernetSegment:
         done = start + tx_time
         self._wire_free_at = done
         self.stats.frames_sent += 1
-        self.stats.bytes_sent += dgram.wire_size
+        self.stats.bytes_sent += wire_size
         self.stats.busy_seconds += tx_time
         for tap in self._taps:
             tap(dgram)
@@ -199,8 +225,8 @@ class EthernetSegment:
         # loss draws happen in NIC order either way
         batching = self.faults is None and not self.jitter
         targets = []
-        for nic in self._nics:
-            if nic is sender or not nic.accepts(dgram):
+        for nic in self.receivers(dgram):
+            if nic is sender:
                 continue
             cohort = getattr(nic, "cohort", None)
             if cohort is not None:

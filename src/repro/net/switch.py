@@ -103,6 +103,9 @@ class SwitchedSegment:
         if nic in self._nics:
             self._nics.remove(nic)
 
+    def invalidate_receivers(self) -> None:
+        pass  # forwarding is decided per frame, so nothing is cached
+
     def add_tap(self, fn: Callable[[Datagram], None]) -> None:
         self._taps.append(fn)
 

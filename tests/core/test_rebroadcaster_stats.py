@@ -11,7 +11,7 @@ dashboards.  The contract now:
   suspended traffic is accounted separately in ``suspended_bytes``.
 """
 
-from repro.audio import AudioEncoding, AudioParams, sine
+from repro.audio import AudioEncoding, AudioParams, music, sine
 from repro.core import EthernetSpeakerSystem
 from repro.core.rebroadcaster import RebroadcasterStats
 
@@ -86,3 +86,46 @@ def test_partial_suspension_splits_accounting_exactly():
     assert stats.compression_ratio == 1.0  # raw channel, sent blocks only
     (ch,) = system.pipeline_report().channels
     assert ch.compression_ratio == 1.0
+
+
+# -- refused control frames stay out of the data ledger ----------------------
+
+BUSY = AudioParams(AudioEncoding.SLINEAR16, 22050, 1)
+BUSY_CHANNELS = 12
+
+
+def _busy_lan_run(telemetry: bool):
+    """Twelve compressed channels burst onto one 100 Mbps segment.  The
+    backlog bound scales with the arriving frame's own transmit time, so
+    the short control frames are refused behind the data burst while
+    every data frame still goes out."""
+    system = EthernetSpeakerSystem(seed=1, telemetry=telemetry)
+    rbs = []
+    for i in range(BUSY_CHANNELS):
+        producer = system.add_producer()
+        channel = system.add_channel(f"busy{i}", params=BUSY,
+                                     compress="always")
+        rbs.append(system.add_rebroadcaster(producer, channel))
+        system.add_speaker(channel=channel)
+        system.play_pcm(producer, music(6.0, 22050, seed=i), BUSY)
+    system.run(until=10.0)
+    return system.pipeline_report(), rbs
+
+
+def test_refused_control_frames_are_not_data_send_failures():
+    report, rbs = _busy_lan_run(telemetry=False)
+    control_refused = sum(rb.stats.control_send_failures for rb in rbs)
+    assert control_refused > 0  # the scenario does refuse controls
+    assert sum(rb.stats.send_failures for rb in rbs) == 0
+    assert report.total_played == report.total_sent
+    assert report.conservation_ok
+
+
+def test_send_failures_agree_with_telemetry_on_and_off():
+    off, rbs_off = _busy_lan_run(telemetry=False)
+    on, rbs_on = _busy_lan_run(telemetry=True)
+    assert ([c.send_failures for c in on.channels]
+            == [c.send_failures for c in off.channels])
+    assert ([rb.stats.control_send_failures for rb in rbs_on]
+            == [rb.stats.control_send_failures for rb in rbs_off])
+    assert on.conservation_ok and off.conservation_ok
