@@ -1,11 +1,11 @@
 """Whole-block band coding: every frame × band of a block in one pass.
 
-The scalar transform codecs (:mod:`repro.codec.vorbislike`,
-:mod:`repro.codec.mp3like`) loop over frames and bands in Python,
-quantising and packing each band slice on its own.  At station scale —
-tens of channels encoding concurrently on one origin machine — those
-loops are the dominant host cost.  This module is the batched engine
-both codecs share, and it does no per-bit work on the fixed-width path:
+This module, with :func:`repro.codec.rice.rice_decode`, is the one
+implementation of the band wire format that both transform codecs
+(:mod:`repro.codec.vorbislike`, :mod:`repro.codec.mp3like`) run.  At
+station scale — tens of channels encoding concurrently on one origin
+machine — per-frame, per-band Python loops would be the dominant host
+cost, so it does no per-bit work on the fixed-width path:
 
 * :func:`encode_bands_batched` quantises all frames × bands of a block
   as 2-D numpy ops, then writes the whole body as **one stream of
@@ -27,32 +27,40 @@ Everything that depends only on the band edges and the frame count —
 the bin → band map, insert positions, part start bins — is computed
 once per ``(edges, n_frames)`` and cached.
 
-Wire bytes and decoded samples are **bit-identical** to the scalar
-reference coders — that is the contract ``tests/codec/
+The format is defined by scalar per-frame, per-band walks, kept as the
+oracle in ``tests/oracles/codec.py``.  Wire bytes and decoded samples
+are **bit-identical** to them — that is the contract ``tests/codec/
 test_batch_differential.py`` pins, and why the quantiser reproduces the
-reference arithmetic operation by operation (``np.ldexp`` powers of two,
+walk's arithmetic operation by operation (``np.ldexp`` powers of two,
 the same ``ceil``/``log2`` elementwise ufuncs, integer-exact size sums).
 
-Malformed streams are the reference walker's job: anything structurally
-anomalous (width > 16, truncated descriptors, oversized Rice payloads)
-raises :class:`BatchFallback` so the caller can re-run the scalar path
-and reproduce its exact error — corrupt-packet behaviour under the
-seeded fault matrices must not change by a single counter.
+Malformed input fails the same way too: the kernels raise the exception
+the walk raises, with its message, at the **first bad band in wire
+order**.  A speaker counts an undecodable payload as ``decode_failed``,
+so that error is part of the seeded fault ledger:
+
+* decode — a tag past the end raises the ``IndexError`` of
+  ``data[offset]``; a missing exponent or Rice length field the
+  ``struct.error`` of ``struct.unpack_from``; a fixed width over 16
+  ``ValueError("width out of range: N")``; a short fixed payload
+  ``ValueError("bitstream too short: ...")``; a Rice band whatever
+  :func:`~repro.codec.rice.rice_decode` raises, decoded in the
+  descriptor walk so it fails before any later band;
+* encode — the first coded band (width >= ``min_width``, nonzero peak)
+  whose peak is inf or NaN raises what ``int()`` of its exponent
+  raises, and a Rice payload over 0xFFFF bytes the ``struct.error`` of
+  packing its u16 length field.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.codec import rice
-
-
-class BatchFallback(Exception):
-    """The batched kernel cannot reproduce the scalar semantics for this
-    input; the caller must re-run the per-band reference path."""
 
 
 class _Layout(NamedTuple):
@@ -123,7 +131,8 @@ def encode_bands_batched(
     edges:
         band boundaries; band *b* covers ``edges[b]:edges[b+1]``.
     widths:
-        ``(frames, n_bands)`` quantiser widths (bits per coefficient).
+        ``(frames, n_bands)`` quantiser widths (bits per coefficient),
+        at most 16 (the allocators stop at 15).
     min_width:
         bands below this width are inactive (``b"\\x00"`` parts): 1 for
         the VorbisLike allocator (which never emits width 1), 2 for the
@@ -136,20 +145,29 @@ def encode_bands_batched(
     n_frames, n_bins = coeffs.shape
     if n_frames == 0:
         return b""
-    if not np.isfinite(coeffs).all():
-        # the scalar path raises converting inf/nan exponents to int;
-        # let it, with its exact exception
-        raise BatchFallback("non-finite coefficients")
     widths = np.asarray(widths, dtype=np.int64)
     if widths.max() > 16:
-        # a token is one 16-bit row; the scalar packer rejects these
-        raise BatchFallback("fixed width out of range")
+        # a token is one 16-bit row, as the fixed-width packer's limit
+        raise ValueError(f"width out of range: {int(widths.max())}")
     lay = _layout(_edges_key(edges), n_frames)
     band_of = lay.band_of
     counts = lay.counts
 
     amax = np.maximum.reduceat(np.abs(coeffs), lay.starts, axis=-1)
-    active = (widths >= min_width) & (amax > 0.0)
+    coded = widths >= min_width
+    bad = None  # (flat band index, peak) of the first non-finite coded band
+    if not np.isfinite(amax).all():
+        # the walk codes a NaN peak too, and fails turning the peak's
+        # exponent into an int; that error is raised below unless an
+        # earlier band fails first.  Every non-finite band is zeroed so
+        # no inf or NaN reaches an integer cast.
+        nonfinite = ~np.isfinite(amax)
+        hits = np.flatnonzero(nonfinite & coded)
+        if len(hits):
+            bad = (int(hits[0]), float(amax.reshape(-1)[hits[0]]))
+        coeffs = np.where(np.repeat(nonfinite, counts, axis=1), 0.0, coeffs)
+        amax = np.where(nonfinite, 0.0, amax)
+    active = coded & (amax > 0.0)
 
     top = (1 << (np.maximum(widths, 1) - 1)) - 1
     # exponent = ceil(log2(amax / top)), clipped — elementwise ufuncs,
@@ -186,11 +204,19 @@ def encode_bands_batched(
         band_bits = np.add.reduceat(elem_bits, lay.starts, axis=-1)
         rice_bytes = (band_bits + 7) // 8
         choose_rice = active & (rice_bytes + 2 < fixed_bytes)
-        if choose_rice.any() and int(rice_bytes[choose_rice].max()) > 0xFFFF:
-            raise BatchFallback("rice payload exceeds u16 length field")
+        over = np.flatnonzero(choose_rice & (rice_bytes > 0xFFFF))
+        if len(over) and (bad is None or over[0] < bad[0]):
+            f, b = divmod(int(over[0]), len(counts))
+            # the walk's struct.error for the u16 length field
+            struct.pack("<BbH", 0x80 | int(k[f, b]), int(exponent[f, b]),
+                        int(rice_bytes[f, b]))
         any_rice = bool(choose_rice.any())
     else:
         any_rice = False
+    if bad is not None:
+        # int() of a NaN or inf exponent: the walk's ValueError or
+        # OverflowError, with its message
+        int(bad[1])
 
     # -- the token stream: value in the low 16 bits, width above them ------
     fixed = active & ~choose_rice if any_rice else active
@@ -286,11 +312,9 @@ def decode_bands_batched(
 
     ``data`` may be any byte buffer (``bytes``, ``memoryview``).
     Returns ``(values, end_offset)`` with ``values`` of shape
-    ``(n_frames, n_bins)``; inactive bands stay zero.  Structural
-    anomalies — the situations where the scalar walker's *error* is the
-    contract — raise :class:`BatchFallback`.  Rice-band payloads go
-    through :func:`repro.codec.rice.rice_decode`, which reproduces the
-    walker's truncation semantics itself.
+    ``(n_frames, n_bins)``; inactive bands stay zero.  A malformed
+    stream raises the walk's exception at its first bad band (see the
+    module docstring).
     """
     lay = _layout(_edges_key(edges), n_frames)
     end = len(data)
@@ -300,32 +324,34 @@ def decode_bands_batched(
     fixed_at = [0] * len(lay.part_count)
     rice_parts: list = []
     for part, count in enumerate(lay.count_list * n_frames):
-        if offset >= end:
-            raise BatchFallback("descriptor past end of data")
-        tag = data[offset]
+        tag = data[offset]  # past the end: the walk's IndexError
         if tag == 0:
             offset += 1
             continue
         offset += 2  # the tag and exponent bytes
         if offset > end:
-            raise BatchFallback("descriptor past end of data")
+            struct.unpack_from("<b", data, offset - 1)  # the walk's error
         if rice_tags and tag & 0x80:
             exp = data[offset - 1]
             if exp > 127:
                 exp -= 256
             if offset + 2 > end:
-                raise BatchFallback("descriptor past end of data")
+                struct.unpack_from("<H", data, offset)  # the walk's error
             nbytes = data[offset] | (data[offset + 1] << 8)
             offset += 2
-            rice_parts.append(
-                (part, exp, tag & 0x7F, data[offset : offset + nbytes], count)
-            )
+            # decoded here, in wire order, so its error beats later bands'
+            q = rice.rice_decode(data[offset : offset + nbytes], tag & 0x7F,
+                                 count)
+            rice_parts.append((part, q * (2.0**exp)))
         else:
             if tag > 16:
-                raise BatchFallback("fixed width out of range")
+                raise ValueError(f"width out of range: {tag}")
             nbytes = (tag * count + 7) >> 3
             if offset + nbytes > end:
-                raise BatchFallback("fixed payload truncated")
+                raise ValueError(
+                    f"bitstream too short: have {8 * (end - offset)} bits, "
+                    f"need {tag * count}"
+                )
             fixed_at[part] = offset
         offset += nbytes
 
@@ -348,8 +374,7 @@ def decode_bands_batched(
     else:
         values = np.zeros(len(lay.within))
 
-    for part, exp, kk, payload, count in rice_parts:
+    for part, scaled in rice_parts:
         first = int(lay.part_first[part])
-        q = rice.rice_decode(payload, kk, count)
-        values[first : first + count] = q * (2.0**exp)
+        values[first : first + len(scaled)] = scaled
     return values.reshape(n_frames, lay.n_bins), offset

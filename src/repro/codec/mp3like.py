@@ -20,13 +20,8 @@ from functools import partial
 import numpy as np
 from scipy.fft import dct, idct
 
-from repro.codec import bitpack
 from repro.codec.base import BlockCodec, CodecID, register_codec
-from repro.codec.batch import (
-    BatchFallback,
-    decode_bands_batched,
-    encode_bands_batched,
-)
+from repro.codec.batch import decode_bands_batched, encode_bands_batched
 
 _BLOCK = 576  # samples per transform block, MP3's granule size
 _HEADER = struct.Struct("<BBHI")  # codec, channels, kbps, num_samples
@@ -71,20 +66,15 @@ class Mp3LikeCodec(BlockCodec):
 
     def encode_block(self, samples: np.ndarray) -> bytes:
         """One block through the whole-block kernels of
-        :mod:`repro.codec.batch`; input they refuse takes the per-block
-        ``_reference_*`` loop, whose bytes or error are the contract."""
+        :mod:`repro.codec.batch`."""
         header, spectra, widths = self._analyse(samples)
-        try:
-            body = encode_bands_batched(
-                spectra,
-                _EDGES,
-                np.broadcast_to(widths, (spectra.shape[0], len(_EDGES) - 1)),
-                min_width=2,
-                use_rice=False,
-            )
-        except BatchFallback:
-            body = self._reference_encode(spectra, widths)
-        return header + body
+        return header + encode_bands_batched(
+            spectra,
+            _EDGES,
+            np.broadcast_to(widths, (spectra.shape[0], len(_EDGES) - 1)),
+            min_width=2,
+            use_rice=False,
+        )
 
     def _analyse(self, samples: np.ndarray):
         """The block header, the DCT spectra in wire order (every block
@@ -107,37 +97,8 @@ class Mp3LikeCodec(BlockCodec):
         ], axis=0)
         return header, spectra, widths
 
-    def _reference_encode(self, spectra: np.ndarray, widths: np.ndarray
-                          ) -> bytes:
-        """Scalar per-block, per-band loop the batched kernel must match
-        byte for byte; also the fallback for inputs the kernel refuses."""
-        parts = []
-        for spec in spectra:
-            for b in range(len(_EDGES) - 1):
-                width = int(widths[b])
-                lo, hi = _EDGES[b], _EDGES[b + 1]
-                band = spec[lo:hi]
-                amax = float(np.max(np.abs(band)))
-                if width < 2 or amax == 0.0:
-                    parts.append(b"\x00")
-                    continue
-                top = (1 << (width - 1)) - 1
-                exponent = int(np.ceil(np.log2(amax / top)))
-                exponent = max(-120, min(120, exponent))
-                q = np.clip(
-                    np.round(band / 2.0**exponent), -top - 1, top
-                ).astype(np.int64)
-                parts.append(struct.pack("<Bb", width, exponent)
-                             + bitpack.pack_int(q, width))
-        return b"".join(parts)
-
     def decode_block(self, data: bytes) -> np.ndarray:
-        try:
-            return self._decode(data, _decode_bands)
-        except BatchFallback:
-            # malformed stream: reproduce the reference walker's exact
-            # error by re-decoding from the block start
-            return self._decode(data, self._reference_decode_bands)
+        return self._decode(data, _decode_bands)
 
     def _decode(self, data: bytes, decode_bands) -> np.ndarray:
         """Header, then every channel's spectra through ``decode_bands``."""
@@ -152,28 +113,6 @@ class Mp3LikeCodec(BlockCodec):
             plane = idct(spectra, type=2, axis=1, norm="ortho").reshape(-1)
             planes.append(plane[:num_samples])
         return np.clip(np.stack(planes, axis=1), -1.0, 1.0)
-
-    def _reference_decode_bands(self, data: bytes, offset: int,
-                                num_blocks: int):
-        """Scalar walker; on a malformed stream its exception is the
-        contract."""
-        spectra = np.zeros((num_blocks, _BLOCK))
-        for blk in range(num_blocks):
-            for b in range(len(_EDGES) - 1):
-                width = data[offset]
-                offset += 1
-                if width == 0:
-                    continue
-                (exponent,) = struct.unpack_from("<b", data, offset)
-                offset += 1
-                lo, hi = _EDGES[b], _EDGES[b + 1]
-                count = hi - lo
-                nbytes = bitpack.packed_size(width, count)
-                q = bitpack.unpack_int(data[offset : offset + nbytes], width,
-                                       count)
-                offset += nbytes
-                spectra[blk, lo:hi] = q * 2.0**exponent
-        return spectra, offset
 
 
 _FILE_MAGIC = b"MPL1"

@@ -1,14 +1,13 @@
 """Rice/Golomb entropy coding for quantised transform coefficients.
 
-The fixed-width band packing in :mod:`repro.codec.vorbislike` is fast but
+The fixed-width band packing in :mod:`repro.codec.batch` is fast but
 pays the band's worst case for every coefficient.  Rice coding (unary
 quotient + k-bit remainder) exploits the Laplacian shape of quantised
 MDCT residue — the same trick FLAC and Shorten use.  Both directions are
-fully vectorised: encoding scatters unary/remainder bits into one
-bitplane, decoding recovers the unary terminators with a cumsum over
-``unpackbits`` plus binary lifting (the scalar walk survives as
-:func:`_reference_rice_decode`, the oracle the differential tests pin
-the vector path against).
+vectorised: the band encoder in :mod:`repro.codec.batch` scatters
+unary/remainder bits into one bitplane, and :func:`rice_decode`
+recovers the unary terminators with a cumsum over ``unpackbits`` plus
+binary lifting.
 
 Signed values are zigzag-mapped to unsigned first.
 """
@@ -30,90 +29,32 @@ def unzigzag(values: np.ndarray) -> np.ndarray:
             ^ -(u & np.uint64(1)).astype(np.int64))
 
 
-def best_k(values: np.ndarray) -> int:
-    """Near-optimal Rice parameter from the mean magnitude."""
-    u = zigzag(values)
-    if len(u) == 0:
-        return 0
-    mean = float(u.mean())
-    if mean < 1.0:
-        return 0
-    return min(30, max(0, int(np.log2(mean + 1.0))))
-
-
-def rice_encode(values: np.ndarray, k: int) -> bytes:
-    """Vectorised Rice encoding of signed integers."""
-    if k < 0 or k > 30:
-        raise ValueError(f"rice parameter out of range: {k}")
-    u = zigzag(values)
-    if len(u) == 0:
-        return b""
-    q = (u >> np.uint64(k)).astype(np.int64)
-    lengths = q + 1 + k
-    total_bits = int(lengths.sum())
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    bits = np.zeros(total_bits, dtype=np.uint8)
-    # unary part: q zeros then a one
-    bits[starts + q] = 1
-    # remainder: k bits, MSB first
-    for j in range(k):
-        shift = np.uint64(k - 1 - j)
-        bits[starts + q + 1 + j] = (
-            (u >> shift) & np.uint64(1)
-        ).astype(np.uint8)
-    return np.packbits(bits).tobytes()
-
-
-def _reference_rice_decode(data: bytes, k: int, count: int) -> np.ndarray:
-    """The scalar per-bit walk :func:`rice_decode` must match exactly —
-    including its lenient handling of truncated ``k == 0`` streams and
-    the ``ValueError`` a truncated remainder raises."""
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    out = np.empty(count, dtype=np.uint64)
-    pos = 0
-    n_bits = len(bits)
-    for i in range(count):
-        q = 0
-        while pos < n_bits and bits[pos] == 0:
-            q += 1
-            pos += 1
-        pos += 1  # the terminating one
-        remainder = 0
-        for _ in range(k):
-            if pos >= n_bits:
-                raise ValueError("rice stream truncated")
-            remainder = (remainder << 1) | int(bits[pos])
-            pos += 1
-        out[i] = (q << k) | remainder
-    return unzigzag(out)
-
-
 def rice_decode(data: bytes, k: int, count: int) -> np.ndarray:
-    """Inverse of :func:`rice_encode`; returns ``count`` signed ints.
+    """Decode ``count`` signed ints from a Rice stream with parameter ``k``.
 
     Vectorised unary scan: a cumsum over the unpacked bitplane counts
     the ones, and because value *i*'s remainder always ends ``k`` bits
     after its terminating one, the index of the next terminator is a
     pure function of the previous one's — iterated for all values at
-    once by binary lifting instead of walking bit by bit.  ``k > 30``
-    (which :func:`rice_encode` never emits, but hostile band headers can
-    claim) keeps the reference walk's exotic overflow semantics by
-    delegating to it.
+    once by binary lifting instead of walking bit by bit.
+
+    Any ``k`` a band tag can carry (0..127) decodes, and a malformed
+    stream fails the way the per-bit walk that defines the format does
+    (``reference_rice_decode`` in ``tests/oracles/codec.py``): with
+    ``k > 0``, ``ValueError("rice stream truncated")`` at the first
+    value that runs out of bits, or the ``OverflowError`` a ``uint64``
+    store raises at the first value of 2**64 or more, whichever comes
+    first.  With ``k == 0`` truncation is lenient: running off the end
+    yields one final zero-run value, then zeros.
     """
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    if k > 30:
-        return _reference_rice_decode(data, k, count)
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     n_bits = len(bits)
     ones = np.flatnonzero(bits)
     m = len(ones)
     if k == 0:
-        # no remainders: value i is the gap between terminators i-1 and
-        # i.  Truncation is lenient, exactly like the walk: running off
-        # the end yields one final zero-run value, then zeros.
+        # no remainders: value i is the gap between terminators i-1 and i
         out = np.zeros(count, dtype=np.uint64)
         take = min(count, m)
         if take:
@@ -129,7 +70,7 @@ def rice_decode(data: bytes, k: int, count: int) -> np.ndarray:
     # ones_before[j] = ones in bits[0..j]; value i's terminator is the
     # c_i-th one with c_{i+1} = ones_before[ones[c_i] + k] and c_0 = 0
     # (skip the k remainder bits, count the ones they swallowed).  State
-    # m absorbs "ran out of terminators" — truncated, like the walk.
+    # m absorbs "ran out of terminators".
     ones_before = np.cumsum(bits)
     nxt = np.full(m + 1, m, dtype=np.int64)
     reachable = ones + k < n_bits
@@ -142,27 +83,33 @@ def rice_decode(data: bytes, k: int, count: int) -> np.ndarray:
             hop = ((idx >> s) & 1).astype(bool)
             c[hop] = jump[c[hop]]
             jump = jump[jump]
-    if (c >= m).any():
-        raise ValueError("rice stream truncated")
-    term = ones[c]
-    if int(term[-1]) + k >= n_bits:
-        # terminators are increasing, so only the last value's remainder
-        # can run off the end
-        raise ValueError("rice stream truncated")
-    starts = np.empty(count, dtype=np.int64)
-    starts[0] = 0
+    term = ones[np.minimum(c, m - 1)]
+    # the first value with no terminator left or a remainder past the end
+    short = (c >= m) | (term + k >= n_bits)
+    whole = int(np.argmax(short)) if short.any() else count
+    term = term[:whole]
+    starts = np.empty(whole, dtype=np.int64)
+    starts[:1] = 0
     starts[1:] = term[:-1] + 1 + k
     q = (term - starts).astype(np.uint64)
+    if k + n_bits.bit_length() > 64:
+        # q < 2**bit_length(n_bits): only here can a value reach 2**64,
+        # through quotient bits shifted past bit 63 or (k > 64)
+        # remainder bits above it
+        big = q > 0 if k >= 64 else (q >> np.uint64(64 - k)) > 0
+        if k > 64:
+            high = term[:, None] + 1 + np.arange(k - 64)
+            big |= bits[high].any(axis=1)
+        if big.any():
+            # the walk stores each value into a uint64 array; any value
+            # of 2**64 or more fails that store with the same error
+            np.zeros(1, dtype=np.uint64)[0] = 1 << 64
+    if whole < count:
+        raise ValueError("rice stream truncated")
+    # low 64 remainder bits; for k > 64 the higher ones are zero here
     rem = np.zeros(count, dtype=np.uint64)
     for j in range(k):
         rem = (rem << np.uint64(1)) | bits[term + 1 + j].astype(np.uint64)
-    return unzigzag((q << np.uint64(k)) | rem)
-
-
-def rice_size_bytes(values: np.ndarray, k: int) -> int:
-    """Exact encoded size without materialising the bitstream."""
-    u = zigzag(values)
-    if len(u) == 0:
-        return 0
-    total_bits = int(((u >> np.uint64(k)).astype(np.int64) + 1 + k).sum())
-    return (total_bits + 7) // 8
+    if k < 64:
+        rem |= q << np.uint64(k)
+    return unzigzag(rem)

@@ -18,13 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.codec import bitpack, rice
 from repro.codec.base import BlockCodec, CodecID, register_codec
-from repro.codec.batch import (
-    BatchFallback,
-    decode_bands_batched,
-    encode_bands_batched,
-)
+from repro.codec.batch import decode_bands_batched, encode_bands_batched
 from repro.codec.mdct import mdct_analysis, mdct_synthesis
 from repro.codec.psycho import PsychoModel
 
@@ -85,23 +80,17 @@ class VorbisLikeCodec(BlockCodec):
 
     def encode_block(self, samples: np.ndarray) -> bytes:
         """One block through the whole-block kernels of
-        :mod:`repro.codec.batch`; input they refuse (non-finite
-        coefficients) takes the per-frame ``_reference_*`` loop, whose
-        bytes or error are the contract."""
+        :mod:`repro.codec.batch`."""
         header, coeffs, model = self._analyse(samples)
         energies = model.band_energies(coeffs)
         widths = model.allocate_widths(energies, self.quality)
-        try:
-            body = encode_bands_batched(
-                coeffs,
-                model.edges,
-                widths,
-                min_width=1,
-                use_rice=self.entropy == "rice",
-            )
-        except BatchFallback:
-            body = self._reference_encode(coeffs, model)
-        return header + body
+        return header + encode_bands_batched(
+            coeffs,
+            model.edges,
+            widths,
+            min_width=1,
+            use_rice=self.entropy == "rice",
+        )
 
     def _analyse(self, samples: np.ndarray):
         """The block header, the MDCT frames in wire order (every frame
@@ -152,55 +141,10 @@ class VorbisLikeCodec(BlockCodec):
             return short
         return self.frame_size
 
-    def _reference_encode(self, coeffs: np.ndarray, model: PsychoModel
-                          ) -> bytes:
-        """Scalar per-frame, per-band loop the batched kernel must match
-        byte for byte; also the fallback for inputs the kernel refuses."""
-        parts = []
-        for frame in coeffs:
-            energies = model.band_energies(frame)
-            widths = model.allocate_widths(energies, self.quality)
-            for b in range(model.n_bands):
-                width = int(widths[b])
-                lo, hi = model.edges[b], model.edges[b + 1]
-                band = frame[lo:hi]
-                amax = float(np.max(np.abs(band))) if hi > lo else 0.0
-                if width == 0 or amax == 0.0:
-                    parts.append(b"\x00")
-                    continue
-                top = (1 << (width - 1)) - 1
-                exponent = int(np.ceil(np.log2(amax / top)))
-                exponent = max(-120, min(120, exponent))
-                step = 2.0**exponent
-                q = np.clip(np.round(band / step), -top - 1, top)
-                q = q.astype(np.int64)
-                if self.entropy == "rice":
-                    # adaptive: Rice wins on peaky bands (quiet
-                    # coefficients under a few spectral lines), fixed
-                    # width wins on dense ones — pick per band, the
-                    # decoder handles either tag
-                    k = rice.best_k(q)
-                    rice_bytes = rice.rice_size_bytes(q, k) + 2
-                    fixed_bytes = bitpack.packed_size(width, len(q))
-                    if rice_bytes < fixed_bytes:
-                        payload = rice.rice_encode(q, k)
-                        parts.append(struct.pack(
-                            "<BbH", 0x80 | k, exponent, len(payload)
-                        ) + payload)
-                        continue
-                parts.append(struct.pack("<Bb", width, exponent)
-                             + bitpack.pack_int(q, width))
-        return b"".join(parts)
-
     # -- decoding ---------------------------------------------------------------
 
     def decode_block(self, data: bytes) -> np.ndarray:
-        try:
-            return self._decode(data, decode_bands_batched)
-        except BatchFallback:
-            # malformed stream: the reference walker's exact error is
-            # the contract, so re-decode from the block start
-            return self._decode(data, self._reference_decode_bands)
+        return self._decode(data, decode_bands_batched)
 
     def _decode(self, data: bytes, decode_bands) -> np.ndarray:
         """Header, then every plane's frames through ``decode_bands``."""
@@ -222,37 +166,6 @@ class VorbisLikeCodec(BlockCodec):
             out = planes[0][:, None]
         # np.clip without its dispatch overhead (NaN propagates the same)
         return np.minimum(np.maximum(out, -1.0), 1.0)
-
-    def _reference_decode_bands(self, data: bytes, offset: int,
-                                num_frames: int, edges: np.ndarray):
-        """Scalar walker; on a malformed stream its exception is the
-        contract."""
-        out = np.zeros((num_frames, edges[-1]))
-        for f in range(num_frames):
-            for b in range(len(edges) - 1):
-                tag = data[offset]
-                offset += 1
-                if tag == 0:
-                    continue
-                (exponent,) = struct.unpack_from("<b", data, offset)
-                offset += 1
-                lo, hi = edges[b], edges[b + 1]
-                count = hi - lo
-                if tag & 0x80:  # Rice-coded band
-                    k = tag & 0x7F
-                    (nbytes,) = struct.unpack_from("<H", data, offset)
-                    offset += 2
-                    q = rice._reference_rice_decode(
-                        data[offset : offset + nbytes], k, count
-                    )
-                else:  # fixed-width band
-                    nbytes = bitpack.packed_size(tag, count)
-                    q = bitpack.unpack_int(
-                        data[offset : offset + nbytes], tag, count
-                    )
-                offset += nbytes
-                out[f, lo:hi] = q * (2.0**exponent)
-        return out, offset
 
 
 register_codec(CodecID.VORBIS_LIKE, VorbisLikeCodec)

@@ -1028,18 +1028,13 @@ class EthernetSpeakerSystem:
                 ratio = sent_bytes / raw
             else:
                 ratio = 0.0 if suspended else 1.0
-            data_failures = (
-                tel.total(f"rebroadcaster.send_failures[ch{channel.channel_id}]")
-                if tel.enabled
-                else sum(rb.stats.send_failures for rb in rbs)
-            )
             channels.append(ChannelReport(
                 name=channel.name,
                 channel_id=channel.channel_id,
                 speakers=len(nodes) + sum(c.members for c in cohorts),
                 data_sent=sum(rb.stats.data_sent for rb in rbs),
                 control_sent=sum(rb.stats.control_sent for rb in rbs),
-                send_failures=data_failures,
+                send_failures=sum(rb.stats.send_failures for rb in rbs),
                 data_received=_members("data_rx"),
                 played=_members("played"),
                 late_dropped=_members("late_dropped"),

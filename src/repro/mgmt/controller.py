@@ -190,6 +190,7 @@ class FleetController:
         self._rng = random.Random(seed)
         self._seq = 0
         self._listener: Optional[Process] = None
+        self._sock = None  # the listener's socket
         self._txns: List[Process] = []
         #: no record can expire or come due for pruning at or before this
         #: instant, so a lease scan up to it would find nothing to do
@@ -206,10 +207,16 @@ class FleetController:
     def crash(self) -> None:
         """Kill the controller mid-flight: listener and every in-flight
         transaction die where they stand.  The registry is *not* wiped
-        here — a crashed box keeps its RAM until someone reboots it."""
+        here — a crashed box keeps its RAM until someone reboots it.
+
+        The listener's socket is closed now: a kill cannot land inside a
+        CPU slice, and a restart must find the discovery port free."""
         if self._listener is not None:
             self._listener.kill()
             self._listener = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
         for txn in self._txns:
             txn.kill()
         self._txns.clear()
@@ -269,6 +276,7 @@ class FleetController:
     def _listen(self):
         sock = self.stack.socket(self.port)
         sock.join_multicast(self.group)
+        self._sock = sock
         try:
             # cold-boot census: solicit the fleet instead of waiting out
             # every advertiser's periodic interval.  Runs again on
@@ -301,7 +309,11 @@ class FleetController:
                     self._handle_adp(pkt, msg.src)
                 self._scan_leases()
         finally:
-            sock.close()
+            # a kill that lands late, after crash() closed this socket and
+            # a restart bound the port again, must not close the new one
+            if self._sock is sock:
+                sock.close()
+                self._sock = None
 
     def _handle_adp(self, pkt: AdpPacket, src: Tuple[str, int]) -> None:
         rec = self.entities.get(pkt.entity_id)

@@ -1,19 +1,21 @@
 """Differential harness: batched codec kernels == scalar reference.
 
 The batched whole-block kernels (:mod:`repro.codec.batch`) claim **bit
-identity** with the per-frame/per-band scalar loops they replace — on the
-wire (encode) and in the recovered samples (decode), including the exact
-exception a malformed stream raises.  The scalar arm of every comparison
-is an oracle from ``tests/oracles/codec.py``.  These tests pin that claim with
-hypothesis sweeps over dtypes, odd block sizes, empty blocks, every Rice
-parameter 0..30, and random byte-level corruption.
+identity** with the per-frame/per-band scalar walks that define the band
+format — on the wire (encode) and in the recovered samples (decode),
+including the exception type and message a malformed stream or a
+non-finite input raises at its first bad band.  The scalar arm of every
+comparison is an oracle from ``tests/oracles/codec.py``.  These tests
+pin that claim with hypothesis sweeps over dtypes, odd block sizes,
+empty blocks, every Rice parameter a band tag can carry (0..127), and
+random byte-level corruption.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.codec.batch import (
@@ -23,16 +25,16 @@ from repro.codec.batch import (
 )
 from repro.codec.mdct import mdct_analysis, mdct_synthesis
 from repro.codec.mp3like import Mp3LikeCodec
-from repro.codec.rice import (
-    _reference_rice_decode,
-    rice_decode,
-    rice_encode,
-)
+from repro.codec.rice import rice_decode
 from repro.codec.vorbislike import VorbisLikeCodec, _model
 from tests.oracles.codec import (
     reference_mdct_synthesis,
+    reference_rice_decode,
+    rice_encode,
     scalar_decode_block,
     scalar_encode_block,
+    vorbis_reference_decode_bands,
+    vorbis_reference_encode,
 )
 
 
@@ -73,11 +75,17 @@ def _pair(cls, **kwargs):
     return codec, _Scalar(codec)
 
 
-def _outcome(codec, data):
+def _result(call, *args, **kwargs):
+    """``("ok", bytes)`` or the ``(exception type, message)`` raised."""
     try:
-        return ("ok", codec.decode_block(data).tobytes())
+        out = call(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 — exception IS the contract
         return (type(exc).__name__, str(exc))
+    return ("ok", out if isinstance(out, bytes) else out.tobytes())
+
+
+def _outcome(codec, data):
+    return _result(codec.decode_block, data)
 
 
 # -- Rice coding -------------------------------------------------------------
@@ -96,7 +104,7 @@ def test_rice_decode_matches_reference_on_valid_streams(values, k):
     v = np.array(values, dtype=np.int64)
     data = rice_encode(v, k)
     got = rice_decode(data, k, len(v))
-    ref = _reference_rice_decode(data, k, len(v))
+    ref = reference_rice_decode(data, k, len(v))
     assert np.array_equal(got, ref)
     assert np.array_equal(got, v)
 
@@ -104,23 +112,24 @@ def test_rice_decode_matches_reference_on_valid_streams(values, k):
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.binary(min_size=0, max_size=48),
-    k=st.integers(min_value=0, max_value=34),
+    k=st.integers(min_value=0, max_value=127),
     count=st.integers(min_value=0, max_value=40),
 )
+# values of 2**64 or more: quotient bits shifted past bit 63 (k = 63,
+# q = 2; k = 64, q = 1) or a remainder wider than 64 bits (k = 127) —
+# alone, before a truncation in a later value, and with the value's own
+# remainder cut short (a truncation, not an overflow)
+@example(data=b"\x20" + b"\xff" * 16, k=63, count=1)
+@example(data=b"\x40" + b"\xff" * 16, k=64, count=5)
+@example(data=b"\x80" + b"\xff" * 16, k=127, count=3)
+@example(data=b"\x40\xff", k=64, count=1)
 def test_rice_decode_matches_reference_on_garbage(data, k, count):
-    """Arbitrary bytes (truncations, hostile k, k > 30) must produce the
-    same values or the same exception as the per-bit walk."""
-    try:
-        got, got_err = rice_decode(data, k, count), None
-    except ValueError as exc:
-        got, got_err = None, str(exc)
-    try:
-        ref, ref_err = _reference_rice_decode(data, k, count), None
-    except ValueError as exc:
-        ref, ref_err = None, str(exc)
-    assert got_err == ref_err
-    if got is not None:
-        assert np.array_equal(got, ref)
+    """Arbitrary bytes under every k a 7-bit tag can carry (truncations,
+    k > 30, values of 2**64 or more) must produce the same values or the
+    same (exception type, message) as the per-bit walk."""
+    assert _result(rice_decode, data, k, count) == _result(
+        reference_rice_decode, data, k, count
+    )
 
 
 def test_rice_decode_truncated_tail_raises_like_reference():
@@ -193,20 +202,14 @@ def test_vorbis_empty_block_bit_identical():
 
 
 def test_vorbis_nonfinite_input_same_outcome():
-    """NaN/Inf coefficients: the batch kernel must defer to the reference
-    loop so both configurations produce identical bytes or identical
-    errors."""
+    """NaN/Inf coefficients: the batch kernel and the scalar walk
+    produce identical bytes or the identical (type, message) error."""
     for bad in (np.nan, np.inf, -np.inf):
         x = np.zeros((3000, 1))
         x[7] = 0.25
         x[1500] = bad
-        outs = []
-        for codec in _pair(VorbisLikeCodec, quality=10):
-            try:
-                outs.append(("ok", codec.encode_block(x)))
-            except Exception as exc:  # noqa: BLE001
-                outs.append((type(exc).__name__, str(exc)))
-        assert outs[0] == outs[1]
+        fast, slow = _pair(VorbisLikeCodec, quality=10)
+        assert _result(fast.encode_block, x) == _result(slow.encode_block, x)
 
 
 @settings(max_examples=120, deadline=None)
@@ -260,6 +263,23 @@ def test_mp3_batched_bit_identical(n, channels, kbps, kind, seed):
     assert fast.decode_block(wf).tobytes() == slow.decode_block(ws).tobytes()
 
 
+def test_mp3_nonfinite_input_same_outcome():
+    """Mp3Like codes every band of its fixed ladder, so a non-finite
+    sample reaches an exponent: the kernel raises the walk's error at
+    the same band, in mono and stereo, and a finite block still encodes
+    identically."""
+    for channels in (1, 2):
+        for bad in (np.nan, np.inf, -np.inf, None):
+            x = np.zeros((3000, channels))
+            x[7] = 0.25
+            if bad is not None:
+                x[1500, -1] = bad
+            fast, slow = _pair(Mp3LikeCodec, bitrate_kbps=192)
+            got = _result(fast.encode_block, x)
+            assert got == _result(slow.encode_block, x)
+            assert (got[0] == "ok") == (bad is None)
+
+
 def test_mp3_empty_block_bit_identical():
     fast, slow = _pair(Mp3LikeCodec)
     wf, ws = fast.encode_block(np.zeros((0, 1))), slow.encode_block(
@@ -299,8 +319,8 @@ def test_mp3_corrupt_stream_same_outcome(n, cut, flips, seed):
 # -- kernel edge cases -------------------------------------------------------
 #
 # The cases below drive the kernels directly with hand-picked band layouts
-# and compare them with the codecs' scalar per-frame loops, run on a
-# stand-in model that exposes just the edges and the chosen widths.
+# and compare them with the scalar per-frame walks, run on a stand-in
+# model that exposes just the edges and the chosen widths.
 
 
 def _reference_encode(coeffs, edges, widths, entropy="fixed"):
@@ -313,13 +333,13 @@ def _reference_encode(coeffs, edges, widths, entropy="fixed"):
         band_energies=lambda frame: None,
         allocate_widths=lambda energies, quality: next(rows),
     )
-    return VorbisLikeCodec(entropy=entropy)._reference_encode(
-        np.asarray(coeffs), model
+    return vorbis_reference_encode(
+        VorbisLikeCodec(entropy=entropy), np.asarray(coeffs), model
     )
 
 
 def _reference_decode(data, offset, n_frames, edges):
-    return VorbisLikeCodec()._reference_decode_bands(
+    return vorbis_reference_decode_bands(
         data, offset, n_frames, np.asarray(edges, dtype=np.int64)
     )
 
@@ -436,7 +456,7 @@ def test_memoryview_payload_decodes_like_bytes(codec_cls):
     view = memoryview(frame)[17:17 + len(blob)].toreadonly()
     assert _outcome(fast, view) == _outcome(slow, blob)
     assert _outcome(fast, view)[0] == "ok"
-    # a truncated view takes the fallback and raises the scalar error
+    # a truncated view raises the scalar walk's error, message included
     cut = view[: len(blob) // 2]
     assert _outcome(fast, cut) == _outcome(slow, cut)
 
@@ -452,3 +472,63 @@ def test_mp3_decode_rejects_rice_tags_like_reference(tag):
     outcome = _outcome(fast, bytes(blob))
     assert outcome == _outcome(slow, bytes(blob))
     assert outcome[0] == "ValueError"
+
+
+@pytest.mark.parametrize("as_view", [False, True])
+def test_first_error_in_wire_order(as_view):
+    """The kernel raises the walk's error at the first bad band: a Rice
+    band whose payload is truncated fails before the descriptor overrun
+    that follows it, and each later failure mode wins once every band
+    before it is sound."""
+    edges = [0, 8, 16]
+    rice_short = b"\x83\x00\x04\x00\xff"  # k = 3, 4 bytes claimed, 1 sent
+    rice_long = b"\xc5\x00\x01\x00\x00"  # k = 69: 2**64 or more
+    fixed_ok = b"\x08\x00" + bytes(8)  # width 8, all eight bins present
+    streams = {
+        "rice truncated, then descriptors overrun": rice_short,
+        "rice too wide, then descriptors overrun": rice_long,
+        "fixed band, then tag past the end": fixed_ok,
+        "fixed band, then exponent past the end": fixed_ok + b"\x05",
+        "fixed band, then Rice length past the end":
+            fixed_ok + b"\x81\x00\x07",
+        "width over 16": b"\x11\x00" + bytes(40),
+        "fixed payload short": b"\x09\x00" + bytes(8),
+        "rice band short, then fixed width over 16":
+            b"\x82\x00\x01\x00\xff" + b"\x11\x00",
+    }
+    for name, body in streams.items():
+        data = memoryview(body) if as_view else body
+        got = _result(lambda d: decode_bands_batched(d, 0, 1, edges)[0],
+                      data)
+        want = _result(lambda d: _reference_decode(d, 0, 1, edges)[0],
+                       data)
+        assert got == want, name
+        assert got[0] != "ok", name
+    assert _result(
+        lambda d: decode_bands_batched(d, 0, 1, edges)[0], rice_short
+    )[1] == "rice stream truncated"
+
+
+def test_encode_first_error_in_wire_order():
+    """Encode fails at the first bad band like the walk: a Rice payload
+    too long for its u16 length field (a 2**17-bin band) and a band with
+    a non-finite peak, in either order; an uncoded (width 0) non-finite
+    band is written inactive, without error."""
+    n = 1 << 17
+    rng = np.random.default_rng(17)
+    dense = rng.integers(-7, 8, n).astype(np.float64)
+    dense[0] = 32767.0  # width 16, exponent 0: the coefficients themselves
+    nan_band = np.full(n, np.nan)
+    edges = [0, n, 2 * n]
+    for coeffs, widths, kind in (
+        ([dense, nan_band], [16, 16], "error"),
+        ([nan_band, dense], [16, 16], "ValueError"),
+        ([nan_band, dense], [0, 16], "error"),
+    ):
+        coeffs = np.concatenate(coeffs)[None, :]
+        widths = np.array([widths])
+        got = _result(encode_bands_batched, coeffs, edges, widths,
+                      use_rice=True)
+        want = _result(_reference_encode, coeffs, edges, widths, "rice")
+        assert got == want
+        assert got[0] == kind  # struct.error is named "error"

@@ -1,11 +1,11 @@
-"""Vectorised bit packing round trips."""
+"""The oracle's fixed-width bit packer (`tests/oracles/bitpack.py`): round trips."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codec import bitpack
+from tests.oracles import bitpack
 
 
 def test_pack_unpack_uint_basic():

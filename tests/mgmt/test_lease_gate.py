@@ -121,10 +121,7 @@ class LeaseGateMachine(RuleBasedStateMachine):
 
     @rule()
     def restart(self):
-        # let a listener inside its per-PDU CPU slice reach its next wait
-        # first: a kill lands only when that slice ends, so an immediate
-        # restart would find the discovery port still bound
-        self.sim.run(until=self.sim.now + 1e-3)
+        # at any instant, a listener's CPU slice in flight included
         self.gated.restart()
         self.twin.restart()
         _assert_twins(self.gated, self.twin)
@@ -189,3 +186,28 @@ def test_prune_bound_survives_rounding(seen, prune_after):
     sim.run(until=edge)
     ctl._scan_leases()
     assert 1 not in ctl.entities
+
+
+def test_restart_inside_listener_cpu_slice():
+    """Regression: a restart while the listener is inside its cold-boot
+    CPU slice.  The old listener's kill lands only when the slice ends,
+    so crash() must free the discovery port itself, and the late kill
+    must leave the new listener's socket bound: an advert sent after the
+    restart still reaches the registry."""
+    sim = Simulator()
+    lan = EthernetSegment(sim)
+    ctl = _controller(sim, lan, "ctl", None)
+    entity = Machine(sim, "ent")
+    entity.attach_network(lan, "10.9.0.99")
+    ctl.start()
+    sim.run(until=1e-6)  # inside the listener's first cpu.run
+    ctl.restart()
+    sim.run(until=0.1)
+    assert ctl.alive
+    assert ctl.stats.discovers_sent == 1  # the killed listener sent none
+    advert = AdpPacket(entity_id=5, message_type=ADP_AVAILABLE,
+                       valid_time=1.0, available_index=1, name="ent5")
+    entity.control_stack.socket().sendto(advert.encode(),
+                                         (ctl.group, ctl.port))
+    sim.run(until=0.2)
+    assert [r.name for r in ctl.available()] == ["ent5"]

@@ -1,10 +1,10 @@
 """Vectorised fixed-width integer bit packing.
 
-The transform codecs quantise each frequency band to a per-band integer
-width and pack the values back to back.  Packing and unpacking are done
-entirely with numpy so that minutes of CD audio encode in well under a
-second — important because the benchmark scenarios push dozens of
-stream-minutes through the codecs.
+The fixed-width band format packs each band's quantised coefficients
+at a per-band integer width, back to back, big-endian.  These packers
+are what the scalar band walks in :mod:`tests.oracles.codec` call; the
+runtime kernels in :mod:`repro.codec.batch` write and read the same
+bits without them.
 """
 
 from __future__ import annotations
