@@ -71,8 +71,8 @@ class DecodeCache:
         is evicted.  At the default 0.5 s producer chunking a few dozen
         entries cover every in-flight block of several channels.
     telemetry:
-        a :class:`~repro.metrics.telemetry.Telemetry` registry; hit /
-        miss / eviction counters are published as ``codec.cache.hits``
+        a :class:`~repro.metrics.telemetry.Telemetry` registry; the hit /
+        miss / eviction stats are registered as ``codec.cache.hits``
         etc.  ``None`` falls back to the process default.
     """
 
@@ -86,10 +86,7 @@ class DecodeCache:
         self.max_entries = max_entries
         self.name = name
         self.stats = DecodeCacheStats()
-        label = f"[{name}]" if name else ""
-        self._c_hits = telemetry.counter(f"codec.cache.hits{label}")
-        self._c_misses = telemetry.counter(f"codec.cache.misses{label}")
-        self._c_evictions = telemetry.counter(f"codec.cache.evictions{label}")
+        telemetry.register("codec.cache", name, self.stats)
         self._entries: "OrderedDict[Tuple, DecodedBlock]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -111,11 +108,9 @@ class DecodeCache:
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
-            self._c_misses.inc()
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        self._c_hits.inc()
         return entry
 
     def put(self, key: Tuple, entry: DecodedBlock) -> None:
@@ -125,7 +120,6 @@ class DecodeCache:
         if len(entries) > self.max_entries:
             entries.popitem(last=False)
             self.stats.evictions += 1
-            self._c_evictions.inc()
 
     def clear(self) -> None:
         self._entries.clear()
@@ -173,14 +167,7 @@ class EncodeCache:
         self.max_entries = max_entries
         self.name = name
         self.stats = EncodeCacheStats()
-        label = f"[{name}]" if name else ""
-        self._c_hits = telemetry.counter(f"codec.encode_cache.hits{label}")
-        self._c_misses = telemetry.counter(
-            f"codec.encode_cache.misses{label}"
-        )
-        self._c_evictions = telemetry.counter(
-            f"codec.encode_cache.evictions{label}"
-        )
+        telemetry.register("codec.encode_cache", name, self.stats)
         self._entries: "OrderedDict[Tuple, EncodedBlock]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -197,11 +184,9 @@ class EncodeCache:
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
-            self._c_misses.inc()
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        self._c_hits.inc()
         return entry
 
     def put(self, key: Tuple, entry: EncodedBlock) -> None:
@@ -211,7 +196,6 @@ class EncodeCache:
         if len(entries) > self.max_entries:
             entries.popitem(last=False)
             self.stats.evictions += 1
-            self._c_evictions.inc()
 
     def clear(self) -> None:
         self._entries.clear()

@@ -30,7 +30,6 @@ per-object fleet does — the property the differential harness
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace as _dc_replace
 from typing import List, Optional
 
 import numpy as np
@@ -573,6 +572,7 @@ class SpeakerCohort:
         device._silent_run = exdev._silent_run
         device._close_requested = exdev._close_requested
         device.underruns = exdev.underruns
+        device.hiwat_blocks = exdev.hiwat_blocks
         device.silence_bytes = exdev.silence_bytes
         device.bytes_written = exdev.bytes_written
         audio_path = self._speaker_kwargs.get("audio_path", "/dev/audio")
@@ -611,8 +611,9 @@ class SpeakerCohort:
         clone._last_block_seconds = ex._last_block_seconds
         clone._resync_candidate = ex._resync_candidate
         clone.last_output_rms = ex.last_output_rms
-        clone.stats = _dc_replace(
-            ex.stats,
+        # in place: telemetry holds the clone's own stats object
+        vars(clone.stats).update(
+            vars(ex.stats),
             rejoin_gaps=list(ex.stats.rejoin_gaps),
             play_log=list(ex.stats.play_log),
             write_offsets=list(ex.stats.write_offsets),

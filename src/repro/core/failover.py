@@ -132,9 +132,7 @@ class WarmStandby:
         self.active = False
         self.stats = FailoverStats()
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        tel = self.telemetry
-        self._c_takeovers = tel.counter(f"failover.takeovers[{name}]")
-        self._c_standdowns = tel.counter(f"failover.standdowns[{name}]")
+        self.telemetry.register("failover", name, self.stats)
         self._proc: Optional[Process] = None
         self._sock = None
         #: the watchdog's memory — only arms once the primary has been
@@ -235,7 +233,6 @@ class WarmStandby:
         self.active = True
         self.stats.takeovers += 1
         self.stats.takeover_latencies.append(silence)
-        self._c_takeovers.inc()
         self.telemetry.observe("failover.takeover_latency", silence)
         self.telemetry.tracer.instant(
             "failover.takeover", track=self.name,
@@ -246,7 +243,6 @@ class WarmStandby:
         self.rb.suspend()
         self.active = False
         self.stats.standdowns += 1
-        self._c_standdowns.inc()
         self.telemetry.tracer.instant(
             "failover.standdown", track=self.name, yielded_to=new_epoch,
         )

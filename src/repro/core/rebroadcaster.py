@@ -99,17 +99,11 @@ class Rebroadcaster:
         #: CPU is charged the full encode cost before the lookup.
         self.encode_cache = encode_cache
         self.stats = RebroadcasterStats()
-        # cached instruments: one label per channel so system-level
-        # conservation can sum with Telemetry.total(); with telemetry
-        # disabled these are shared no-op singletons
-        tel, label = self.telemetry, f"ch{channel.channel_id}"
+        # one label per channel so system-level conservation can sum with
+        # Telemetry.total(); a standby on the same channel adds into it
+        tel = self.telemetry
+        tel.register("rebroadcaster", f"ch{channel.channel_id}", self.stats)
         self._track = f"{machine.name}/rb"
-        self._c_data = tel.counter(f"rebroadcaster.data_sent[{label}]")
-        self._c_ctl = tel.counter(f"rebroadcaster.control_sent[{label}]")
-        self._c_raw = tel.counter(f"rebroadcaster.raw_bytes[{label}]")
-        self._c_wire = tel.counter(f"rebroadcaster.sent_bytes[{label}]")
-        self._c_susp = tel.counter(f"rebroadcaster.suspended[{label}]")
-        self._c_fail = tel.counter(f"rebroadcaster.send_failures[{label}]")
         #: frames per real encoder invocation — cache hits and synthetic
         #: estimates don't run the kernel, so they are not observed
         self._h_batch = tel.histogram(
@@ -263,7 +257,6 @@ class Rebroadcaster:
             # advanced above, the block itself goes nowhere
             self.stats.suspended_blocks += 1
             self.stats.suspended_bytes += len(payload)
-            self._c_susp.inc()
             return
         if self._need_control:
             self._need_control = False
@@ -287,12 +280,8 @@ class Rebroadcaster:
         self.stats.data_sent += 1
         self.stats.raw_bytes += len(payload)
         self.stats.sent_payload_bytes += len(wire_payload)
-        self._c_data.inc()
-        self._c_raw.inc(len(payload))
-        self._c_wire.inc(len(wire_payload))
         if not ok:
             self.stats.send_failures += 1
-            self._c_fail.inc()
         else:
             tracer.flow_begin(
                 (self.channel.channel_id, self._seq),
@@ -356,7 +345,6 @@ class Rebroadcaster:
         if not (yield from self._send(sock, packet.encode())):
             self.stats.control_send_failures += 1
         self.stats.control_sent += 1
-        self._c_ctl.inc()
 
     def add_wan_tap(self, tap) -> None:
         """Tee every outgoing wire packet to ``tap(wire)`` — the origin

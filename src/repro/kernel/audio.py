@@ -75,10 +75,7 @@ class AudioDevice(CharDevice):
             from repro.metrics.telemetry import get_telemetry
             telemetry = get_telemetry()
         self.telemetry = telemetry
-        label = f"{machine.name}/{name}"
-        self._track = label
-        self._c_underruns = telemetry.counter(f"audio.underruns[{label}]")
-        self._c_hiwat = telemetry.counter(f"audio.hiwat_blocks[{label}]")
+        self._track = label = f"{machine.name}/{name}"
         self.params = AudioParams()
         self._chunks: deque[bytes] = deque()
         self._level = 0
@@ -90,8 +87,12 @@ class AudioDevice(CharDevice):
         self._close_requested = False
         # stats
         self.underruns = 0
+        #: writes that found the ring full and blocked at high water
+        self.hiwat_blocks = 0
         self.silence_bytes = 0
         self.bytes_written = 0
+        telemetry.register("audio", label, self, {
+            "underruns": "underruns", "hiwat_blocks": "hiwat_blocks"})
         self._recompute_sizes()
 
     # -- geometry ----------------------------------------------------------------
@@ -118,7 +119,7 @@ class AudioDevice(CharDevice):
         while offset < total:
             if self._level >= self.hiwat:
                 # high-water: the writer blocks until the ring drains
-                self._c_hiwat.inc()
+                self.hiwat_blocks += 1
                 self.telemetry.tracer.instant(
                     "buffer.hiwat", track=self._track, level=self._level
                 )
@@ -203,7 +204,6 @@ class AudioDevice(CharDevice):
             return None
         if self._silent_run == 0:
             self.underruns += 1
-            self._c_underruns.inc()
             self.telemetry.tracer.instant(
                 "buffer.underrun", track=self._track
             )

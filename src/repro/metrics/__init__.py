@@ -4,10 +4,10 @@ Figure 4 plots userland CPU usage and Figure 5 context-switch rates, both
 "gathered by vmstat over a sixty second period at one second intervals".
 :class:`~repro.metrics.vmstat.VmstatSampler` is that tool for simulated
 machines.  :mod:`repro.metrics.telemetry` generalises it: a process-wide
-but injectable registry of counters/gauges/histograms plus a sim-clock
-tracer (:mod:`repro.metrics.trace`) with Chrome ``trace_event`` export,
-feeding the :class:`~repro.metrics.telemetry.PipelineReport` every
-benchmark consumes.
+but injectable registry of gauges/histograms and live-read component
+counters, plus a sim-clock tracer (:mod:`repro.metrics.trace`) with
+Chrome ``trace_event`` export, feeding the
+:class:`~repro.metrics.telemetry.PipelineReport` every benchmark consumes.
 """
 
 from repro.metrics.vmstat import VmstatSample, VmstatSampler
@@ -15,7 +15,6 @@ from repro.metrics.report import ascii_table, percent, ratio, series_summary
 from repro.metrics.telemetry import (
     NULL,
     ChannelReport,
-    Counter,
     Gauge,
     Histogram,
     PipelineReport,
@@ -35,7 +34,6 @@ __all__ = [
     "series_summary",
     "Telemetry",
     "Tracer",
-    "Counter",
     "Gauge",
     "Histogram",
     "PipelineReport",

@@ -4,12 +4,17 @@ The paper's evaluation (§3) argues from quantities you can only get by
 instrumenting the running system — per-hop latency, jitter, buffer levels,
 CPU figures.  This module is that instrumentation layer:
 
-* a :class:`Telemetry` registry holding named :class:`Counter`,
-  :class:`Gauge` and fixed-bucket :class:`Histogram` instruments, plus a
+* a :class:`Telemetry` registry holding named :class:`Gauge` and
+  fixed-bucket :class:`Histogram` instruments, plus a
   :class:`~repro.metrics.trace.Tracer` bound to the same virtual clock;
-* a **disabled mode** (:data:`NULL`) whose instruments are shared no-op
-  singletons, so instrumented hot paths cost one attribute call when
-  telemetry is off and benchmarks stay honest;
+* **counters that are read, not incremented**: each component counts its
+  facts once, in its own ``stats`` ints, and hands that object to
+  :meth:`Telemetry.register` at construction.  The registry reads the
+  ints live whenever :attr:`~Telemetry.counters` is asked for, so the hot
+  paths carry no second counter;
+* a **disabled mode** (:data:`NULL`) whose gauges and histograms are
+  shared no-op singletons and whose ``register`` keeps nothing, so
+  telemetry off costs nothing beyond the component's own ints;
 * :class:`PipelineReport`, the derived end-to-end view (latency
   percentiles, jitter, loss conservation, compression) that
   :class:`~repro.core.system.EthernetSpeakerSystem` exposes and the
@@ -22,14 +27,15 @@ mutating the global one; :func:`set_default` exists for whole-process runs
 (CLI tools, notebooks).
 
 Instrument names are dotted paths with an optional ``[label]`` suffix
-(``"rebroadcaster.data_sent[lobby]"``); :meth:`Telemetry.total` sums a
-metric across labels, which is what the conservation checks use.
+(``"rebroadcaster.data_sent[ch1]"``: kind, stats field, label);
+:meth:`Telemetry.total` sums a metric across labels, which is what the
+conservation checks use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields as dc_fields
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.metrics.report import ascii_table, ratio
 from repro.metrics.trace import NULL_TRACER, Tracer
@@ -59,19 +65,6 @@ DEFAULT_TIME_BUCKETS = log_buckets(1e-6, 10.0, per_decade=4)
 DEFAULT_DEPTH_BUCKETS = (
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384,
 )
-
-
-class Counter:
-    """A monotonically increasing integer."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
 
 
 class Gauge:
@@ -171,13 +164,6 @@ class Histogram:
 # -- the disabled mode ----------------------------------------------------------
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
 class _NullGauge(Gauge):
     __slots__ = ()
 
@@ -195,7 +181,6 @@ class _NullHistogram(Histogram):
         pass
 
 
-_NULL_COUNTER = _NullCounter("null")
 _NULL_GAUGE = _NullGauge("null")
 _NULL_HISTOGRAM = _NullHistogram("null", (1.0,))
 
@@ -211,8 +196,9 @@ class Telemetry:
         ``lambda: sim.now`` (or pass ``sim=``).
     enabled:
         a disabled registry hands out shared no-op instruments and a
-        disabled tracer; every recording call degrades to a constant-time
-        no-op so hot paths can be instrumented unconditionally.
+        disabled tracer, and :meth:`register` keeps no reference; every
+        recording call degrades to a constant-time no-op so hot paths can
+        be instrumented unconditionally.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
@@ -221,22 +207,46 @@ class Telemetry:
             clock = lambda: sim.now  # noqa: E731
         self.clock = clock or (lambda: 0.0)
         self.enabled = enabled
-        self.counters: Dict[str, Counter] = {}
+        #: counter name -> the (object, attribute) pairs summed into it
+        self._sources: Dict[str, List[Tuple[object, str]]] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.tracer = (
             Tracer(clock=self.clock) if enabled else NULL_TRACER
         )
 
-    # -- instrument access (get-or-create) ---------------------------------------
+    # -- counters: registered component ints, read live ----------------------
 
-    def counter(self, name: str) -> Counter:
+    def register(self, kind: str, label: Optional[str], obj,
+                 fields: Optional[Mapping[str, str]] = None) -> None:
+        """Publish ``obj``'s ints as counters ``kind.field[label]``.
+
+        ``fields`` maps counter field -> attribute of ``obj``; by default
+        it is every ``int`` field of the dataclass ``obj``, under its own
+        name.  Nothing is copied: :attr:`counters` reads the attributes
+        when asked.  Objects registered under one name sum, so two
+        components sharing a label report one total.  A disabled
+        registry keeps no reference.
+        """
         if not self.enabled:
-            return _NULL_COUNTER
-        c = self.counters.get(name)
-        if c is None:
-            c = self.counters[name] = Counter(name)
-        return c
+            return
+        if fields is None:
+            fields = {f.name: f.name for f in dc_fields(obj)
+                      if f.type in (int, "int")}
+        suffix = f"[{label}]" if label else ""
+        for name, attr in fields.items():
+            self._sources.setdefault(f"{kind}.{name}{suffix}", []).append(
+                (obj, attr))
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Every registered counter's current value, by name."""
+        return {
+            name: sum(getattr(obj, attr) for obj, attr in sources)
+            for name, sources in sorted(self._sources.items())
+        }
+
+    # -- instrument access (get-or-create) ---------------------------------------
 
     def gauge(self, name: str) -> Gauge:
         if not self.enabled:
@@ -257,10 +267,6 @@ class Telemetry:
 
     # -- one-shot conveniences ----------------------------------------------------
 
-    def count(self, name: str, n: int = 1) -> None:
-        if self.enabled:
-            self.counter(name).inc(n)
-
     def set_gauge(self, name: str, value: float) -> None:
         if self.enabled:
             self.gauge(name).set(value)
@@ -277,13 +283,13 @@ class Telemetry:
         ``x.sent`` and every ``x.sent[...]``."""
         prefix = metric + "["
         return sum(
-            c.value for name, c in self.counters.items()
+            value for name, value in self.counters.items()
             if name == metric or name.startswith(prefix)
         )
 
     def snapshot(self) -> dict:
         return {
-            "counters": {n: c.value for n, c in sorted(self.counters.items())},
+            "counters": self.counters,
             "gauges": {
                 n: {"value": g.value, "min": g.min, "max": g.max}
                 for n, g in sorted(self.gauges.items()) if g.samples
@@ -297,10 +303,10 @@ class Telemetry:
         """Everything, as ascii tables (counters, gauges, histograms,
         span aggregates)."""
         parts = []
-        if self.counters:
+        counters = self.counters
+        if counters:
             parts.append("counters:\n" + ascii_table(
-                ["counter", "value"],
-                [[n, c.value] for n, c in sorted(self.counters.items())],
+                ["counter", "value"], [list(kv) for kv in counters.items()],
             ))
         live_gauges = [
             (n, g) for n, g in sorted(self.gauges.items()) if g.samples

@@ -172,13 +172,9 @@ class FleetController:
         self.auto_enumerate = auto_enumerate
         self.stack = machine.control_stack
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        self._c_adv = self.telemetry.counter(f"ctl.adp_advertises[{name}]")
-        self._c_exp = self.telemetry.counter(f"ctl.adp_expiries[{name}]")
-        self._c_conn = self.telemetry.counter(f"ctl.acmp_connects[{name}]")
-        self._c_fail = self.telemetry.counter(f"ctl.acmp_failures[{name}]")
-        self._c_enum = self.telemetry.counter(f"ctl.enumerations[{name}]")
         self.entities: Dict[int, EntityRecord] = {}
         self.stats = ControllerStats()
+        self.telemetry.register("ctl", name, self.stats)
         self.supervisor = None
         self.on_available: Optional[Callable[[EntityRecord, bool], None]] = None
         self.on_departed: Optional[Callable[[EntityRecord], None]] = None
@@ -331,7 +327,6 @@ class FleetController:
                 rec.last_seen = self.sim.now
                 self._note_change(rec)
                 self.stats.adp_advertises += 1
-                self._c_adv.inc()
                 return
             returning = rec is not None
             rec = EntityRecord(
@@ -349,7 +344,6 @@ class FleetController:
             self.entities[pkt.entity_id] = rec
             self._note_change(rec)
             self.stats.adp_advertises += 1
-            self._c_adv.inc()
             if self.on_available is not None:
                 self.on_available(rec, returning)
             if self.auto_enumerate and rec.mgmt_port:
@@ -397,7 +391,6 @@ class FleetController:
                     rec.state = ENT_EXPIRED
                     rec.expired_at = now
                     self.stats.expiries += 1
-                    self._c_exp.inc()
                     if self.supervisor is not None:
                         self.supervisor.notify_lease_expired(rec.name)
                     if self.on_expired is not None:
@@ -486,7 +479,6 @@ class FleetController:
                             for k, v in fields.items()
                         }
                         self.stats.enumerations += 1
-                        self._c_enum.inc()
                         return True
             self.stats.enumeration_failures += 1
             return False
@@ -584,7 +576,6 @@ class FleetController:
                         if message_type == ACMP_CONNECT_RX_COMMAND:
                             rec.connected = (group_ip, port, channel_id)
                             self.stats.acmp_connects += 1
-                            self._c_conn.inc()
                             if self.on_connected is not None:
                                 self.on_connected(rec, channel_id)
                         else:
@@ -595,7 +586,6 @@ class FleetController:
                                 self.on_disconnected(rec)
                         return True
             self.stats.acmp_failures += 1
-            self._c_fail.inc()
             return False
         finally:
             sock.close()

@@ -143,8 +143,8 @@ class EntityAdvertiser:
         self.port = port
         self.stack = stack if stack is not None else machine.control_stack
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        self._c_adv = self.telemetry.counter(f"adp.advertises[{self.name}]")
         self.stats = AdvertiserStats()
+        self.telemetry.register("adp", self.name, self.stats)
         self.available_index = 0
         self._seq = 0
         self._last_epoch: Optional[int] = None
@@ -214,7 +214,6 @@ class EntityAdvertiser:
             self._packet(ADP_AVAILABLE).encode(), (self.group, self.port)
         )
         self.stats.advertises += 1
-        self._c_adv.inc()
 
     def _open_solicit_listener(self):
         """Bind the discovery port and join the solicitation group.

@@ -19,10 +19,11 @@ half of that story:
   schedules it after ``restart_delay`` — modelling the watchdog-reset /
   power-cycle path — and counts the restart.
 
-Heartbeats, misses, and restarts all land in telemetry
-(``supervisor.{heartbeats,missed,restarts}[node]``) and are folded into
-``pipeline_report()`` so a run's self-healing activity shows up next to
-its audio ledger.
+Heartbeats, misses, lease expiries and restarts are counted per node on
+its :class:`NodeHealth`, which telemetry reads as
+``supervisor.{beats,missed,lease_expiries,restarts}[node]``; the
+supervisor-wide sums are folded into ``pipeline_report()`` so a run's
+self-healing activity shows up next to its audio ledger.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class NodeHealth:
     last_beat: float = float("-inf")
     beats: int = 0
     missed: int = 0          # scan passes that found the node silent
+    lease_expiries: int = 0  # discovery-lease expiries acted on
     restarts: int = 0        # restarts this supervisor drove
     restart_pending: bool = False
 
@@ -129,6 +131,7 @@ class Supervisor:
             raise ValueError(f"node {name!r} already supervised")
         health = NodeHealth(name=name, last_beat=self.sim.now)
         self.nodes[name] = health
+        self.telemetry.register("supervisor", name, health)
         self._probes[name] = probe
         self._restarts[name] = restart
         self._agents[name] = Process.spawn(
@@ -161,8 +164,6 @@ class Supervisor:
     # -- the node-side agent --------------------------------------------------
 
     def _agent(self, name: str, machine):
-        tel = self.telemetry
-        c_beats = tel.counter(f"supervisor.heartbeats[{name}]")
         while True:
             yield Sleep(self.heartbeat_interval)
             # the beat costs real cycles on the node: a halted CPU parks
@@ -176,7 +177,6 @@ class Supervisor:
             if health.status == DOWN and not health.restart_pending:
                 health.status = UP
             self.stats.heartbeats += 1
-            c_beats.inc()
 
     # -- the management-plane scan -------------------------------------------
 
@@ -195,7 +195,6 @@ class Supervisor:
                     continue
                 health.missed += 1
                 self.stats.missed_heartbeats += 1
-                tel.counter(f"supervisor.missed[{name}]").inc()
                 if health.status != DOWN:
                     health.status = DOWN
                     self.stats.nodes_down += 1
@@ -227,8 +226,8 @@ class Supervisor:
             return False          # heartbeat path already acting on it
         if self._probes[name]():
             return False          # lease lapse was transient; node is fine
+        health.lease_expiries += 1
         self.stats.lease_expiries += 1
-        self.telemetry.counter(f"supervisor.lease_expiries[{name}]").inc()
         if health.status != DOWN:
             health.status = DOWN
             self.stats.nodes_down += 1
@@ -255,7 +254,6 @@ class Supervisor:
         health.status = UP
         health.last_beat = self.sim.now  # restart grace: full deadline again
         self.stats.restarts += 1
-        self.telemetry.counter(f"supervisor.restarts[{name}]").inc()
         self.telemetry.tracer.instant(
             "supervisor.restart", track=self.name, node=name,
         )

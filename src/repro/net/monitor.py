@@ -19,7 +19,7 @@ class BandwidthMonitor:
 
     Attach one to a segment to answer the paper's §2.2 question: how many
     Mbps does a CD-quality rebroadcast cost, raw versus compressed?  With
-    telemetry enabled it also keeps ``net.frames``/``net.wire_bytes``
+    telemetry enabled it also publishes ``net.frames``/``net.wire_bytes``
     counters and drops a sampled ``net.throughput`` counter track into the
     trace so bandwidth is visible on the same timeline as the spans.
     """
@@ -29,8 +29,8 @@ class BandwidthMonitor:
         self.sim = sim
         self.segment = segment
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        self._c_frames = self.telemetry.counter("net.frames")
-        self._c_wire = self.telemetry.counter("net.wire_bytes")
+        self.telemetry.register("net", None, self, {
+            "frames": "frames", "wire_bytes": "total_wire_bytes"})
         self.started_at = sim.now
         self.total_wire_bytes = 0
         self.total_payload_bytes = 0
@@ -51,8 +51,6 @@ class BandwidthMonitor:
         self.per_flow_bytes[(dgram.dst_ip, dgram.dst_port)] += dgram.wire_size
         self.last_frame_time = self.sim.now
         self._flow_last_seen[(dgram.dst_ip, dgram.dst_port)] = self.sim.now
-        self._c_frames.inc()
-        self._c_wire.inc(dgram.wire_size)
         if (
             self.telemetry.enabled
             and self.frames % _TRACE_SAMPLE_FRAMES == 0

@@ -11,8 +11,9 @@ on slow links.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -118,7 +119,8 @@ class EthernetSegment:
     loss_rate:
         independent per-receiver drop probability.
     max_backlog:
-        transmit queue bound in frames; beyond it frames drop.
+        transmit queue bound in frames (queued or on the wire, whatever
+        their size); a frame arriving behind more than this many drops.
 
     On a jitter-free wire with no fault injector attached, every matching
     NIC hears a frame at the same instant, so :meth:`transmit` schedules
@@ -160,7 +162,8 @@ class EthernetSegment:
         self._nics: List["Nic"] = []
         #: (dst_ip, vlan) -> accepting NICs in attach order
         self._receivers: Dict[Tuple[str, int], Tuple["Nic", ...]] = {}
-        self._wire_free_at = 0.0
+        #: wire-exit times of the frames queued or on the wire, in order
+        self._queue: Deque[float] = deque()
         self._taps: List[Callable[[Datagram], None]] = []
         #: optional FaultInjector interposed on receiver deliveries
         self.faults = None
@@ -207,13 +210,14 @@ class EthernetSegment:
         now = self.sim.now
         wire_size = dgram.wire_size
         tx_time = wire_size * 8 / self.bandwidth_bps
-        backlog = max(0.0, self._wire_free_at - now)
-        if backlog / max(tx_time, 1e-12) > self.max_backlog:
+        queue = self._queue
+        while queue and queue[0] <= now:
+            queue.popleft()
+        if len(queue) > self.max_backlog:
             self.stats.frames_dropped += 1
             return False
-        start = max(now, self._wire_free_at)
-        done = start + tx_time
-        self._wire_free_at = done
+        done = (queue[-1] if queue else now) + tx_time
+        queue.append(done)
         self.stats.frames_sent += 1
         self.stats.bytes_sent += wire_size
         self.stats.busy_seconds += tx_time

@@ -111,9 +111,9 @@ class WanLink:
     sweep across loss rates delivers the surviving frames at identical
     times and stays comparable frame-for-frame.
 
-    Counters (also exported as ``wan.sent/delivered/lost/retransmits``
-    telemetry, labelled by link name) let ``pipeline_report()`` close the
-    conservation ledger across WAN hops.
+    Counters (also read by telemetry as
+    ``wan.{sent,delivered,lost,retransmits,bytes_sent}[link]``) let
+    ``pipeline_report()`` close the conservation ledger across WAN hops.
     """
 
     def __init__(
@@ -146,12 +146,10 @@ class WanLink:
         self.lost = 0
         self.retransmits = 0
         self.bytes_sent = 0
-        tel = telemetry if telemetry is not None else get_telemetry()
-        self.telemetry = tel
-        self._c_sent = tel.counter(f"wan.sent[{name}]")
-        self._c_delivered = tel.counter(f"wan.delivered[{name}]")
-        self._c_lost = tel.counter(f"wan.lost[{name}]")
-        self._c_retx = tel.counter(f"wan.retransmits[{name}]")
+        self.telemetry = telemetry if telemetry is not None else get_telemetry()
+        self.telemetry.register("wan", name, self, {
+            f: f for f in ("sent", "delivered", "lost", "retransmits",
+                           "bytes_sent")})
 
     def set_fault_injector(self, faults) -> None:
         """Interpose a :class:`~repro.net.faults.FaultInjector` on this
@@ -201,17 +199,14 @@ class WanLink:
         self._free_at = start + tx_time
         self.sent += 1
         self.bytes_sent += len(payload)
-        self._c_sent.inc()
         if retransmit:
             self.retransmits += 1
-            self._c_retx.inc()
         # the jitter draw happens for *every* frame, before the loss draw
         # and from its own stream — a lost frame consumes its jitter value
         # so the survivors' delivery times are loss-rate-invariant
         jit = self._jitter_rng.uniform(0.0, self.jitter) if self.jitter else 0.0
         if self.loss_rate and self._loss_rng.random() < self.loss_rate:
             self.lost += 1
-            self._c_lost.inc()
             return False
         delay = (start + tx_time - now) + self.latency + jit
         if self.faults is not None:
@@ -232,7 +227,6 @@ class WanLink:
 
     def _deliver(self, payload: bytes, deliver: Callable[[bytes], None]):
         self.delivered += 1
-        self._c_delivered.inc()
         deliver(payload)
 
     def reset(self) -> None:
@@ -689,10 +683,8 @@ class RelayNode:
         self.alive = True
         self.frozen = False
         self.stats = RelayStats()
-        tel = telemetry if telemetry is not None else get_telemetry()
-        self.telemetry = tel
-        self._c_fwd = tel.counter(f"relay.forwarded[{name}]")
-        self._c_filler = tel.counter(f"relay.filler[{name}]")
+        self.telemetry = telemetry if telemetry is not None else get_telemetry()
+        self.telemetry.register("relay", name, self.stats)
         self.downlinks: List[WanHop] = []
         self.leaf_lans: List = []           # LeafLan records (system glue)
         self.uplink: Optional[WanHop] = None
@@ -753,7 +745,6 @@ class RelayNode:
         if off:
             wire = restamp_epoch(wire, (epoch + off) % EPOCH_MOD)
         self.stats.forwarded += 1
-        self._c_fwd.inc()
         self._fan_out(wire, channel_id)
 
     def _fan_out(self, wire: bytes, channel_id: int) -> None:
@@ -884,7 +875,6 @@ class RelayNode:
             )
             st["play_at"] += st["dur"]
             self.stats.filler_data += 1
-            self._c_filler.inc()
             self._fan_out(packet.encode(), cid)
         self.sim.schedule(st["dur"], self._filler_data, cid, gen)
 

@@ -76,7 +76,8 @@ class Simulator:
         #: recycled transient Event objects (allocation free-list)
         self._free: list[Event] = []
         #: events executed so far (plain int so benchmarks can compute
-        #: events/sec with telemetry disabled)
+        #: events/sec with telemetry disabled; telemetry reads it as
+        #: ``sim.events``)
         self.events_executed = 0
         #: exceptions that escaped processes nobody was waiting on;
         #: re-raised at the end of :meth:`run` so tests cannot miss them.
@@ -92,15 +93,18 @@ class Simulator:
         registry) to return the loop to its uninstrumented fast path."""
         if telemetry is not None and not telemetry.enabled:
             telemetry = None
+        if telemetry is not None:
+            telemetry.register("sim", None, self,
+                               {"events": "events_executed"})
         self.telemetry = telemetry
         self._batch_events = 0
 
     def _record_step(self, ev: Event) -> None:
-        """Event-loop health: events executed, queue depth, and the depth
+        """Event-loop health: queue depth every 64th event, and the depth
         of zero-delay cascades (events piling up at one instant — the
-        sim-world analogue of scheduling lag)."""
+        sim-world analogue of scheduling lag).  Runs after
+        ``events_executed`` counted ``ev`` but before the clock moves."""
         tel = self.telemetry
-        tel.count("sim.events")
         if ev.time == self._now and self._batch_events:
             self._batch_events += 1
         else:
@@ -108,7 +112,7 @@ class Simulator:
                 tel.observe("sim.zero_delay_cascade", self._batch_events,
                             bounds=_DEPTH_BOUNDS)
             self._batch_events = 1
-        if tel.counters["sim.events"].value % 64 == 0:
+        if self.events_executed % 64 == 0:
             tel.observe("sim.queue_depth", len(self._heap),
                         bounds=_DEPTH_BOUNDS)
 
@@ -172,10 +176,10 @@ class Simulator:
             ev = heapq.heappop(self._heap)[2]
             if ev.cancelled:
                 continue
+            self.events_executed += 1
             if self.telemetry is not None:
                 self._record_step(ev)
             self._now = ev.time
-            self.events_executed += 1
             ev.fn(*ev.args)
             if ev.transient and len(self._free) < self.MAX_FREE_EVENTS:
                 ev.fn = None

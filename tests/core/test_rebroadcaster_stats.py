@@ -94,14 +94,17 @@ BUSY = AudioParams(AudioEncoding.SLINEAR16, 22050, 1)
 BUSY_CHANNELS = 12
 
 
-def _busy_lan_run(telemetry: bool):
-    """Twelve compressed channels burst onto one 100 Mbps segment.  The
-    backlog bound scales with the arriving frame's own transmit time, so
-    the short control frames are refused behind the data burst while
-    every data frame still goes out."""
+def _busy_lan_run(telemetry: bool, channels: int = BUSY_CHANNELS,
+                  max_backlog: int = BUSY_CHANNELS):
+    """Compressed channels burst onto one 100 Mbps segment.  Every channel
+    emits its data block at the same instant and its periodic control
+    right after, so with a transmit queue of ``BUSY_CHANNELS`` frames the
+    twelve-frame data burst fills the queue and the controls behind it
+    are refused, while every data frame still goes out."""
     system = EthernetSpeakerSystem(seed=1, telemetry=telemetry)
+    system.lan.max_backlog = max_backlog
     rbs = []
-    for i in range(BUSY_CHANNELS):
+    for i in range(channels):
         producer = system.add_producer()
         channel = system.add_channel(f"busy{i}", params=BUSY,
                                      compress="always")
@@ -117,6 +120,19 @@ def test_refused_control_frames_are_not_data_send_failures():
     control_refused = sum(rb.stats.control_send_failures for rb in rbs)
     assert control_refused > 0  # the scenario does refuse controls
     assert sum(rb.stats.send_failures for rb in rbs) == 0
+    assert report.total_played == report.total_sent
+    assert report.conservation_ok
+
+
+def test_controls_not_refused_on_a_quiet_lan():
+    """32 channels' simultaneous blocks stay far inside the default
+    200-frame queue, so no control frame may be refused.  The bound used
+    to scale with the arriving frame's own transmit time, which refused
+    short controls behind a few data frames (160 of 192 here)."""
+    report, rbs = _busy_lan_run(telemetry=False, channels=32,
+                                max_backlog=200)
+    assert sum(rb.stats.control_send_failures for rb in rbs) == 0
+    assert sum(rb.stats.control_sent for rb in rbs) == 192
     assert report.total_played == report.total_sent
     assert report.conservation_ok
 

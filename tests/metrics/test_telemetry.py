@@ -1,5 +1,7 @@
 """Unit tests for the telemetry registry and its instruments."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from repro.metrics.telemetry import (
     DEFAULT_TIME_BUCKETS,
     NULL,
     ChannelReport,
-    Counter,
     Gauge,
     Histogram,
     PipelineReport,
@@ -18,14 +19,26 @@ from repro.metrics.telemetry import (
     set_default,
 )
 
+
+@dataclass
+class Stats:
+    """A component's counters: the ints are what the registry reads."""
+
+    sent: int = 0
+    sent_failures: int = 0
+    mean_depth: float = 0.0   # not an int field: never a counter
+
+
 # -- instruments -------------------------------------------------------------
 
 
 def test_counter_increments():
-    c = Counter("x")
-    c.inc()
-    c.inc(5)
-    assert c.value == 6
+    tel = Telemetry()
+    st = Stats()
+    tel.register("x", None, st)
+    st.sent += 1
+    st.sent += 5
+    assert tel.counters["x.sent"] == 6
 
 
 def test_gauge_tracks_extremes():
@@ -115,28 +128,34 @@ def test_histogram_median_accuracy():
 
 def test_get_or_create_returns_same_instrument():
     tel = Telemetry()
-    assert tel.counter("a") is tel.counter("a")
+    first, second = Stats(), Stats()
+    tel.register("a", "l", first)
+    tel.register("a", "l", second)  # one name, two sources: they sum
+    first.sent, second.sent = 2, 3
+    assert tel.counters["a.sent[l]"] == 5
     assert tel.gauge("g") is tel.gauge("g")
     assert tel.histogram("h") is tel.histogram("h")
 
 
 def test_conveniences_record():
     tel = Telemetry()
-    tel.count("c", 3)
+    tel.register("c", None, Stats(sent=3))
     tel.set_gauge("g", 1.5)
     tel.observe("h", 0.01)
-    assert tel.counters["c"].value == 3
+    assert tel.counters["c.sent"] == 3
+    assert "c.mean_depth" not in tel.counters
     assert tel.gauges["g"].value == 1.5
     assert tel.histograms["h"].count == 1
 
 
 def test_total_sums_across_labels():
     tel = Telemetry()
-    tel.count("rb.sent[ch1]", 10)
-    tel.count("rb.sent[ch2]", 5)
-    tel.count("rb.sent", 1)
-    tel.count("rb.sent_failures", 99)  # different metric, not a label of rb.sent
+    tel.register("rb", "ch1", Stats(sent=10))
+    tel.register("rb", "ch2", Stats(sent=5))
+    # rb.sent_failures is a different metric, not a label of rb.sent
+    tel.register("rb", None, Stats(sent=1, sent_failures=99))
     assert tel.total("rb.sent") == 16
+    assert tel.total("rb.sent_failures") == 99
 
 
 def test_clock_binds_to_sim():
@@ -150,11 +169,13 @@ def test_clock_binds_to_sim():
 
 def test_snapshot_and_report_render():
     tel = Telemetry()
-    tel.count("c", 2)
+    tel.register("x", None, Stats())
+    tel.register("net", None, Stats(sent=2), {"c": "sent"})
     tel.set_gauge("g", 3.0)
     tel.observe("h", 0.5)
     snap = tel.snapshot()
-    assert snap["counters"]["c"] == 2
+    assert snap["counters"]["net.c"] == 2
+    assert snap["counters"]["x.sent"] == 0
     assert snap["gauges"]["g"]["max"] == 3.0
     assert snap["histograms"]["h"]["count"] == 1
     text = tel.report()
@@ -169,19 +190,27 @@ def test_empty_report():
 
 
 def test_null_registry_hands_out_shared_noops():
-    assert NULL.counter("a") is NULL.counter("b")
+    st = Stats(sent=1)
+    NULL.register("a", None, st)
+    NULL.register("b", "l", st, {"c": "sent"})
+    assert NULL.counters == {}
     assert NULL.gauge("a") is NULL.gauge("b")
     assert NULL.histogram("a") is NULL.histogram("b")
     assert not NULL.tracer.enabled
 
 
 def test_null_instruments_record_nothing():
-    NULL.count("x", 100)
+    import gc
+    import weakref
+
+    st = Stats(sent=100)
+    NULL.register("x", None, st)
     NULL.set_gauge("y", 1.0)
     NULL.observe("z", 1.0)
-    c = NULL.counter("x")
-    c.inc(50)
-    assert c.value == 0
+    ref = weakref.ref(st)
+    del st
+    gc.collect()
+    assert ref() is None  # a disabled registry retains no reference
     assert NULL.counters == {}
     assert NULL.gauges == {}
     assert NULL.histograms == {}

@@ -239,10 +239,10 @@ def test_faults_counted_in_telemetry():
                         name="lan0", telemetry=tel)
     drive(inj, Receiver(sim), 3000)
     st = inj.stats
-    assert tel.counters["faults.lost[lan0]"].value == st.lost > 0
-    assert tel.counters["faults.duplicated[lan0]"].value == st.duplicated > 0
-    assert tel.counters["faults.reordered[lan0]"].value == st.reordered > 0
-    assert tel.counters["faults.corrupted[lan0]"].value == st.corrupted > 0
+    assert tel.counters["faults.lost[lan0]"] == st.lost > 0
+    assert tel.counters["faults.duplicated[lan0]"] == st.duplicated > 0
+    assert tel.counters["faults.reordered[lan0]"] == st.reordered > 0
+    assert tel.counters["faults.corrupted[lan0]"] == st.corrupted > 0
 
 
 def test_injector_attaches_to_segment_and_switch():
