@@ -19,7 +19,10 @@ fails here even when it stays inside the 25 %.  The baseline's
 ``events_per_op`` dates from an older commit than its exact counts, so
 the two do not divide into each other; at the headline rate the exact
 ``events_executed`` check already pins events per op, and the 25 % gate
-cannot fail there on its own.
+cannot fail there on its own.  The headline run under the hop oracle
+(``tests/oracles/sim.py``: every wake and CPU dispatch queued) must
+execute exactly the baseline's ``hop_oracle_events_executed`` and match
+its other exact counts.
 """
 
 import json
@@ -30,6 +33,7 @@ from pathlib import Path
 from repro.core import EthernetSpeakerSystem
 from repro.metrics import ascii_table
 from repro.sim.process import Process, Sleep
+from tests.oracles.sim import HopOracle
 
 POOL = 32                 # slots cycling join -> leave -> join
 SWEEP = [(100, 4.0), (300, 4.0), (1000, 4.0)]   # (ops/s, sim seconds)
@@ -121,7 +125,7 @@ def run_churn(rate, sim_seconds):
     }
 
 
-def test_churn_scale_and_regression_gate():
+def test_churn_scale_and_regression_gate(monkeypatch):
     sweep = [run_churn(rate, secs) for rate, secs in SWEEP]
     headline = next(
         r for r in sweep if r["rate_ops_per_sim_s"] == HEADLINE_RATE
@@ -175,3 +179,13 @@ def test_churn_scale_and_regression_gate():
                 f"headline {key} changed: {headline[key]} != baseline "
                 f"{baseline['headline'][key]}"
             )
+
+        oracle = HopOracle().install(monkeypatch)
+        hops = run_churn(HEADLINE_RATE, headline["sim_seconds"])
+        print(f"hop oracle: {hops['events_executed']} events, "
+              f"{oracle.removable} of them skipped by the runtime")
+        assert (hops["events_executed"]
+                == baseline["headline"]["hop_oracle_events_executed"]
+                == headline["events_executed"] + oracle.removable)
+        for key in EXACT_KEYS[1:]:
+            assert hops[key] == headline[key]

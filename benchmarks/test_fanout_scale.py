@@ -5,7 +5,8 @@ Speakers" (§2.3): the wire cost of a multicast stream is independent of the
 audience size.  The simulator's *host* cost was not — every speaker decoded
 every block privately and every receiver copy was its own heap event.  The
 fan-out fast path (shared-decode cache + zero-copy parsing + batched
-delivery + event free-list) makes host wall-clock scale like the wire.
+delivery + wakes that run inline instead of queueing a hop) makes host
+wall-clock scale like the wire.
 
 This benchmark sweeps speakers × stream-seconds and emits
 ``BENCH_fanout.json``.  Its gate is exact and host-independent: at the
@@ -13,7 +14,10 @@ headline point (64 speakers × 10 s) the run must execute exactly the
 simulator events and play exactly the blocks recorded in the committed
 baseline (``benchmarks/BENCH_fanout_baseline.json``, ``headline.fast``).
 An extra event per frame or receiver copy is a fan-out regression; a
-missing block is a behaviour change.
+missing block is a behaviour change.  The same point run under the hop
+oracle (``tests/oracles/sim.py``: every wake and CPU dispatch queued)
+must execute exactly the baseline's ``hop_oracle_events_executed`` and
+play the same blocks.
 """
 
 import json
@@ -23,6 +27,7 @@ from pathlib import Path
 from repro.audio import AudioEncoding, AudioParams, music
 from repro.core import EthernetSpeakerSystem
 from repro.metrics import ascii_table
+from tests.oracles.sim import HopOracle
 
 PARAMS = AudioParams(AudioEncoding.SLINEAR16, 22050, 1)
 SWEEP = [(4, 2.0), (16, 2.0), (64, 2.0), (64, 10.0)]
@@ -61,7 +66,7 @@ def run_fanout(speakers, stream_seconds):
     }
 
 
-def test_fanout_scale_and_regression_gate():
+def test_fanout_scale_and_regression_gate(monkeypatch):
     sweep = [run_fanout(n, secs) for n, secs in SWEEP]
     fast = next(
         r for r in sweep
@@ -103,3 +108,12 @@ def test_fanout_scale_and_regression_gate():
         f"{fast['events_executed']} events, baseline "
         f"{base['events_executed']}"
     )
+
+    oracle = HopOracle().install(monkeypatch)
+    hops = run_fanout(*HEADLINE)
+    print(f"hop oracle: {hops['events_executed']} events, "
+          f"{oracle.removable} of them skipped by the runtime")
+    assert hops["blocks_played"] == fast["blocks_played"]
+    assert hops["events_executed"] == base["hop_oracle_events_executed"]
+    assert (hops["events_executed"]
+            == fast["events_executed"] + oracle.removable)

@@ -24,35 +24,21 @@ _DEPTH_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384)
 
 
 class Event:
-    """A scheduled callback.
+    """A cancellation handle, returned by :meth:`Simulator.schedule`.
 
-    Returned by :meth:`Simulator.schedule` so callers can cancel it.  The
-    ``seq`` field breaks ties between events scheduled for the same instant,
-    preserving FIFO order of scheduling.  The queue orders
-    ``(time, seq, event)`` tuples, so no comparison ever reaches Python
-    code (``seq`` is unique: the event itself is never compared).
-
-    ``transient`` marks an event scheduled through
-    :meth:`Simulator.schedule_transient`: no handle was handed out, so it
-    can never be cancelled, and the simulator recycles the object through a
-    free list after it fires.  Events with visible handles are never
-    recycled — a caller may legitimately hold one and cancel it long after
-    it ran.
+    The queue itself holds plain ``(time, seq, fn, args, handle)`` tuples.
+    ``seq`` breaks ties between entries for the same instant, preserving
+    FIFO order of scheduling, and is unique, so no comparison ever reaches
+    ``fn``.  Fire-and-forget entries carry ``None`` as their handle.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "transient")
+    __slots__ = ("cancelled",)
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
+    def __init__(self) -> None:
         self.cancelled = False
-        self.transient = False
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.6f} seq={self.seq} {state}>"
+
+_INF = float("inf")
 
 
 class Simulator:
@@ -65,16 +51,10 @@ class Simulator:
         sim.run(until=10.0)
     """
 
-    #: free-list bound: enough to absorb the steady-state churn of a large
-    #: fan-out without pinning memory after a burst
-    MAX_FREE_EVENTS = 4096
-
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._heap: list[tuple[float, int, Event]] = []
-        #: recycled transient Event objects (allocation free-list)
-        self._free: list[Event] = []
+        self._heap: list[tuple] = []
         #: events executed so far (plain int so benchmarks can compute
         #: events/sec with telemetry disabled; telemetry reads it as
         #: ``sim.events``)
@@ -99,13 +79,14 @@ class Simulator:
         self.telemetry = telemetry
         self._batch_events = 0
 
-    def _record_step(self, ev: Event) -> None:
+    def _record_step(self, time: float) -> None:
         """Event-loop health: queue depth every 64th event, and the depth
         of zero-delay cascades (events piling up at one instant — the
         sim-world analogue of scheduling lag).  Runs after
-        ``events_executed`` counted ``ev`` but before the clock moves."""
+        ``events_executed`` counted the event at ``time``, before the
+        clock moves."""
         tel = self.telemetry
-        if ev.time == self._now and self._batch_events:
+        if time == self._now and self._batch_events:
             self._batch_events += 1
         else:
             if self._batch_events > 1:
@@ -121,47 +102,40 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
+    def nothing_due_now(self) -> bool:
+        """True when no queued entry is due now: a zero-delay entry
+        scheduled now would run next, so it may as well run inline."""
+        heap = self._heap
+        return not heap or heap[0][0] > self._now
+
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimError(f"cannot schedule in the past (delay={delay})")
+        if not 0.0 <= delay < _INF:
+            raise SimError(f"delay must be finite and >= 0: {delay}")
         return self.schedule_at(self._now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
-            raise SimError(
-                f"cannot schedule at t={time} before now={self._now}"
-            )
+        if not self._now <= time < _INF:
+            raise SimError(f"cannot schedule at t={time} (now={self._now}):"
+                           " times must be finite and not in the past")
         self._seq += 1
-        ev = Event(time, self._seq, fn, args)
-        heapq.heappush(self._heap, (time, self._seq, ev))
+        ev = Event()
+        heapq.heappush(self._heap, (time, self._seq, fn, args, ev))
         return ev
 
     def schedule_transient(self, delay: float, fn: Callable, *args: Any) -> None:
         """Schedule ``fn(*args)`` with no cancellation handle.
 
         The hot-path variant of :meth:`schedule` for fire-and-forget work
-        (packet deliveries, process wakeups, CPU slice completions): since
-        no handle escapes, the Event object is drawn from — and returned
-        to — a bounded free list, cutting per-event allocation churn.
+        (packet deliveries, process wakeups, CPU slice completions): the
+        queue entry is the only object made.
         """
-        if delay < 0:
-            raise SimError(f"cannot schedule in the past (delay={delay})")
+        if not 0.0 <= delay < _INF:
+            raise SimError(f"delay must be finite and >= 0: {delay}")
         self._seq += 1
         time = self._now + delay
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.seq = self._seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(time, self._seq, fn, args)
-            ev.transient = True
-        heapq.heappush(self._heap, (time, self._seq, ev))
+        heapq.heappush(self._heap, (time, self._seq, fn, args, None))
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event.  Cancelling twice is harmless."""
@@ -173,18 +147,14 @@ class Simulator:
         Returns ``False`` when the queue is empty.
         """
         while self._heap:
-            ev = heapq.heappop(self._heap)[2]
-            if ev.cancelled:
+            time, _, fn, args, handle = heapq.heappop(self._heap)
+            if handle is not None and handle.cancelled:
                 continue
             self.events_executed += 1
             if self.telemetry is not None:
-                self._record_step(ev)
-            self._now = ev.time
-            ev.fn(*ev.args)
-            if ev.transient and len(self._free) < self.MAX_FREE_EVENTS:
-                ev.fn = None
-                ev.args = ()
-                self._free.append(ev)
+                self._record_step(time)
+            self._now = time
+            fn(*args)
             return True
         return False
 
@@ -196,14 +166,21 @@ class Simulator:
         well-defined length.  Re-raises the first unhandled process
         exception, if any.
         """
-        while self._heap:
-            time, _, nxt = self._heap[0]
-            if nxt.cancelled:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        pop = heapq.heappop
+        limit = _INF if until is None else until
+        while heap:
+            time, seq, fn, args, handle = pop(heap)
+            if handle is not None and handle.cancelled:
                 continue
-            if until is not None and time > until:
+            if time > limit:
+                heapq.heappush(heap, (time, seq, fn, args, handle))
                 break
-            self.step()
+            self.events_executed += 1
+            if self.telemetry is not None:
+                self._record_step(time)
+            self._now = time
+            fn(*args)
             if self.unhandled:
                 raise self.unhandled[0]
         if until is not None and until > self._now:
@@ -214,4 +191,5 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
+        return sum(1 for entry in self._heap
+                   if entry[4] is None or not entry[4].cancelled)

@@ -14,6 +14,7 @@ modern workstation are just different constructor arguments
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -125,8 +126,8 @@ class CPU:
         explicit token to attribute work (e.g. an interrupt) to another
         context for switch counting.
         """
-        if cycles < 0:
-            raise SimError(f"negative cycle count: {cycles}")
+        if not 0.0 <= cycles < math.inf:
+            raise SimError(f"cycle count must be finite and >= 0: {cycles}")
         if domain not in ("user", "sys", "intr"):
             raise SimError(f"unknown CPU domain: {domain}")
         return _CpuJob(self, cycles, domain, owner)
@@ -142,6 +143,8 @@ class CPU:
         """
         if cycles <= 0:
             return
+        if not cycles < math.inf:
+            raise SimError(f"non-finite cycle count: {cycles}")
         job = _CpuJob(self, cycles, domain, owner)
         self._submit(job)
 
@@ -244,13 +247,22 @@ class CPU:
         if job.remaining > 1e-9:
             self._run_queue.append(job)
             self._dispatch()
-        else:
-            self.stats.jobs_completed += 1
+            return
+        self.stats.jobs_completed += 1
+        if self._run_queue and not self.sim.nothing_due_now():
             if job.proc is not None:
                 job.proc._resume(None)
             # Defer the next dispatch one event so the woken process can
             # submit its follow-on work first (run-until-block).
             self.sim.schedule_transient(0.0, self._post_completion)
+            return
+        # Either the wake hop and that dispatch would run next, in this
+        # order, or the run queue is empty and the dispatch would find
+        # nothing to do: a job submitted before it ran would dispatch at
+        # once or wait behind a busy or halted CPU.
+        if job.proc is not None:
+            job.proc._wake(None)
+        self._post_completion()
 
     def _post_completion(self) -> None:
         if self._current is None and self._run_queue:

@@ -15,6 +15,7 @@ functions that processes delegate to.  A waitable implements ``_arm(proc)``
 
 from __future__ import annotations
 
+import math
 from typing import Any, Generator, Optional
 
 from repro.sim.core import SimError, Simulator
@@ -47,13 +48,13 @@ class Sleep(Waitable):
     """Suspend the process for ``duration`` virtual seconds."""
 
     def __init__(self, duration: float):
-        if duration < 0:
-            raise SimError(f"negative sleep: {duration}")
+        if not 0.0 <= duration < math.inf:
+            raise SimError(f"sleep must be finite and >= 0: {duration}")
         self.duration = duration
         self._event = None
 
     def _arm(self, proc: "Process") -> None:
-        self._event = proc.sim.schedule(self.duration, proc._resume, None)
+        self._event = proc.sim.schedule(self.duration, proc._wake, None)
 
     def _disarm(self, proc: "Process") -> bool:
         if self._event is not None:
@@ -89,6 +90,8 @@ class Timeout(Waitable):
     """
 
     def __init__(self, inner: Waitable, duration: float):
+        if not 0.0 <= duration < math.inf:
+            raise SimError(f"timeout must be finite and >= 0: {duration}")
         self.inner = inner
         self.duration = duration
         self._event = None
@@ -109,7 +112,7 @@ class Timeout(Waitable):
                 f"{self.inner!r} does not support timeouts (_disarm failed)"
             )
         proc._timeout_guard = None
-        proc._throw(TimeoutError(f"timed out after {self.duration}s"))
+        proc._wake(None, TimeoutError(f"timed out after {self.duration}s"))
 
     def _cancel_timer(self) -> None:
         if self._event is not None:
@@ -158,19 +161,27 @@ class Process:
 
     # -- scheduling internals ------------------------------------------------
 
-    def _resume(self, value: Any) -> None:
-        """Resume the generator with ``value`` (immediately, via the loop)."""
+    def _resume(self, value: Any, exc: Optional[BaseException] = None):
+        """Resume the generator with ``value`` (or by raising ``exc`` in
+        it) at this instant, via a zero-delay hop through the loop."""
         if not self.alive:
             return
         self._clear_wait()
-        self.sim.schedule_transient(0.0, self._step, value, None)
+        self.sim.schedule_transient(0.0, self._step, value, exc)
 
     def _throw(self, exc: BaseException) -> None:
         """Resume the generator by raising ``exc`` inside it."""
-        if not self.alive:
-            return
-        self._clear_wait()
-        self.sim.schedule_transient(0.0, self._step, None, exc)
+        self._resume(None, exc)
+
+    def _wake(self, value: Any, exc: Optional[BaseException] = None):
+        """:meth:`_resume` from a timer or CPU-completion callback that
+        queues nothing after it.  When nothing else is due at this instant
+        the hop would run next, so the step runs inline instead."""
+        if self.alive and self.sim.nothing_due_now():
+            self._clear_wait()
+            self._step(value, exc)
+        else:
+            self._resume(value, exc)
 
     def _clear_wait(self) -> None:
         if self._timeout_guard is not None:
@@ -286,9 +297,7 @@ class Process:
             if self._frozen_step is not None:
                 # a wake-up is already parked: replace it with the kill
                 self._frozen_step = None
-                self.sim.schedule_transient(
-                    0.0, self._step, None, ProcessKilled()
-                )
+                self._resume(None, ProcessKilled())
                 return
         wait = self._current_wait
         if wait is None:

@@ -77,6 +77,8 @@ def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimError):
         sim.schedule(-0.1, lambda: None)
+    with pytest.raises(SimError):
+        sim.schedule_transient(-0.1, lambda: None)
 
 
 def test_schedule_in_past_rejected():
@@ -116,3 +118,20 @@ def test_pending_counts_live_events():
     assert sim.pending() == 2
     sim.cancel(ev)
     assert sim.pending() == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_delays_are_rejected(bad):
+    """A NaN key compares false both ways and would sit at the top of the
+    heap, firing before an event due earlier."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, 1.0)
+    sim.schedule(0.5, fired.append, 0.5)
+    for schedule in (sim.schedule, sim.schedule_at, sim.schedule_transient):
+        with pytest.raises(SimError):
+            schedule(bad, fired.append, bad)
+    sim.run()
+    assert fired == [0.5, 1.0]
+    assert sim.now == 1.0
+

@@ -183,3 +183,16 @@ def test_utilisation_half_busy():
     spawn(sim, body())
     sim.run(until=2.0)
     assert cpu.stats.busy_seconds / sim.now == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_cycles_rejected(bad):
+    from repro.sim import SimError
+
+    sim = Simulator()
+    cpu = CPU(sim)
+    with pytest.raises(SimError):
+        cpu.run(bad)
+    with pytest.raises(SimError):
+        cpu.charge(bad)
+    assert not cpu.busy and cpu.queue_depth == 0

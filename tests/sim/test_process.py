@@ -239,3 +239,13 @@ def test_yielding_non_waitable_is_an_error():
     spawn(sim, body())
     with pytest.raises(Exception, match="expected a Waitable"):
         sim.run()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_sleep_and_timeout_reject_bad_durations(bad):
+    from repro.sim import SimError
+
+    with pytest.raises(SimError):
+        Sleep(bad)
+    with pytest.raises(SimError):
+        Timeout(Queue().get(), bad)
