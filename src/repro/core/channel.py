@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.audio.params import AudioParams
 from repro.codec.base import CodecID
@@ -47,6 +47,3 @@ class ChannelConfig:
         if params.bits_per_second > self.compress_threshold_bps:
             return self.codec_id
         return CodecID.RAW
-
-    def with_params(self, params: AudioParams) -> "ChannelConfig":
-        return replace(self, params=params)

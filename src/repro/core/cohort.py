@@ -143,10 +143,6 @@ class CohortNic(Nic):
         super().__init__(segment, ip, vlan=vlan, name=f"{cohort.name}/nic")
         self.cohort = cohort
 
-    @property
-    def receiver_count(self) -> int:
-        return self.cohort.members
-
     def deliver(self, dgram: Datagram) -> None:
         self.rx_frames += 1
         self.cohort._fallback_deliver(dgram)
@@ -222,7 +218,7 @@ class CohortMember:
         else:  # never spilled: the hang request never landed
             self.hang_req = False
 
-    def cold_restart(self) -> None:
+    def restart(self) -> None:
         self.cohort.restart_member(self)
 
 
@@ -370,15 +366,6 @@ class SpeakerCohort:
     @property
     def aligned(self) -> int:
         return sum(1 for t in self.tokens if t.state == ALIGNED)
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def needs_reference_stream(self) -> bool:
-        """The exemplar must keep consuming while anyone mirrors it —
-        pending members spill from its packet boundaries."""
-        return bool(self._mask.any())
 
     # -- wire-side entry points ---------------------------------------------
 
@@ -701,7 +688,7 @@ class SpeakerCohort:
                 self._pending.remove(tok)
             tok.spill_reason = tok.spill_reason or "restart"
             self._spill(tok, crashed=True)
-        tok.node.cold_restart()
+        tok.node.restart()
 
     # -- ledgers --------------------------------------------------------------
 

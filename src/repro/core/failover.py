@@ -144,30 +144,30 @@ class WarmStandby:
     def start(self) -> "WarmStandby":
         """Start the suspended producer and the watchdog process."""
         self.rb.suspended = True
-        if self.rb._proc is None:
-            self.rb.start()
+        self.rb.start()
         self._proc = self.machine.spawn(
             self._monitor(), name=f"{self.machine.name}/standby-watchdog"
         )
         return self
 
-    def stop(self) -> None:
-        if self._proc is not None:
-            self._proc.kill()
-        self.rb.stop()
+    def healthy(self) -> bool:
+        """The probe contract, for the standby's producer process."""
+        return self.rb.healthy()
 
     def crash(self) -> None:
         """Kill both the watchdog and the standby producer process."""
-        self.stop()
+        if self._proc is not None:
+            self._proc.kill()
+        self.rb.crash()
+
+    def hang(self) -> None:
+        """Wedge the standby producer; the watchdog keeps running."""
+        self.rb.hang()
 
     def restart(self) -> "WarmStandby":
         """Bring a crashed standby back into suspended monitoring."""
-        if self._proc is not None and self._proc.alive:
-            self._proc.kill()
-        if self.rb._proc is not None and self.rb._proc.alive:
-            self.rb._proc.kill()
+        self.crash()
         self.active = False
-        self.rb._proc = None
         self._cadence.reset()
         return self.start()
 

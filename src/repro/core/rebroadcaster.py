@@ -85,6 +85,7 @@ class Rebroadcaster:
     ):
         self.machine = machine
         self.channel = channel
+        self.name = f"{machine.name}/rb-ch{channel.channel_id}"
         self.control_interval = control_interval
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         self.limiter = RateLimiter(enabled=rate_limit,
@@ -133,13 +134,18 @@ class Rebroadcaster:
         )
         return self._proc
 
-    def stop(self) -> None:
+    def crash(self) -> None:
+        """Kill the producer process; :meth:`restart` brings it back."""
         if self._proc is not None:
             self._proc.kill()
 
     @property
     def alive(self) -> bool:
         return self._proc is not None and self._proc.alive
+
+    def healthy(self) -> bool:
+        """The probe contract: process alive and not frozen."""
+        return self.alive and not self._proc.frozen
 
     def hang(self, freeze_cpu: bool = False) -> None:
         """Wedge the producer process (see ``Process.freeze``)."""

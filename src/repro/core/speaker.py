@@ -100,6 +100,15 @@ class EthernetSpeaker:
         the speaker's input buffer (§3.2's "it needs to buffer the data").
     """
 
+    #: a control packet whose schedule shifts by at most this much is
+    #: jitter and is ignored
+    RESYNC_THRESHOLD = 0.250
+    #: shifts up to this size could be a single control packet delayed on
+    #: the wire, so they must be confirmed by a second control before
+    #: re-anchoring; larger shifts (pause, producer restart) cannot be
+    #: network delay and re-anchor immediately
+    RESYNC_CONFIRM_WINDOW = 1.0
+
     def __init__(
         self,
         machine,
@@ -107,8 +116,6 @@ class EthernetSpeaker:
         port: int,
         epsilon: float = 0.020,
         playout_delay: float = 0.400,
-        resync_threshold: float = 0.250,
-        resync_confirm_window: float = 1.0,
         rx_buffer_packets: int = 64,
         audio_path: str = "/dev/audio",
         verifier=None,
@@ -124,12 +131,6 @@ class EthernetSpeaker:
         self.port = port
         self.epsilon = epsilon
         self.playout_delay = playout_delay
-        self.resync_threshold = resync_threshold
-        #: shifts up to this size could be a single control packet delayed
-        #: on the wire, so they must be confirmed by a second control
-        #: before re-anchoring; larger shifts (pause, producer restart)
-        #: cannot be network delay and re-anchor immediately
-        self.resync_confirm_window = resync_confirm_window
         self.rx_buffer_packets = rx_buffer_packets
         self.audio_path = audio_path
         self.verifier = verifier
@@ -187,7 +188,7 @@ class EthernetSpeaker:
         #: in docs/faults.md)
         self._epoch: Optional[int] = None
         #: local time of the last committed block before an outage began;
-        #: armed by crash()/cold_restart()/epoch re-anchor, cleared (and
+        #: armed by crash()/restart()/epoch re-anchor, cleared (and
         #: recorded into ``stats.rejoin_gaps``) by the next committed block
         self._gap_started: Optional[float] = None
         #: crash() keeps the socket bound so downtime arrivals stay in the
@@ -197,6 +198,11 @@ class EthernetSpeaker:
     @property
     def state(self) -> str:
         return "playing" if self._anchor is not None else "waiting"
+
+    @property
+    def started(self) -> bool:
+        """False while the speaker sits parked, never started."""
+        return self._proc is not None
 
     def start(self) -> Process:
         self._proc = self.machine.spawn(
@@ -251,6 +257,14 @@ class EthernetSpeaker:
 
     # -- node faults ----------------------------------------------------------
 
+    def healthy(self) -> bool:
+        """The probe contract: process alive and not frozen.  A speaker
+        that booted parked counts as up: it waits for its first CONNECT."""
+        if self._crashed:
+            return False
+        proc = self._proc
+        return proc is None or (proc.alive and not proc.frozen)
+
     def crash(self) -> None:
         """Kill the speaker process the way a wedged node dies: abruptly.
 
@@ -258,7 +272,7 @@ class EthernetSpeaker:
         receiving, the bounded queue fills, and overflow is counted as
         classified drops — so every multicast copy addressed to this node
         during the outage remains in the conservation ledger.
-        :meth:`cold_restart` disposes of the wreck.
+        :meth:`restart` disposes of the wreck.
         """
         if self._proc is None or not self._proc.alive:
             return
@@ -281,7 +295,7 @@ class EthernetSpeaker:
         if self._proc is not None:
             self._proc.thaw()
 
-    def cold_restart(self) -> Process:
+    def restart(self) -> Process:
         """Reboot from cold: all RAM state is lost, then the paper's
         wait-for-control → buffer → play path runs again from scratch.
 
@@ -370,10 +384,10 @@ class EthernetSpeaker:
                 sock.close()
             # a crashed node's socket stays bound: the NIC keeps receiving
             # and the classified drop counter keeps the ledger closed
-            # until cold_restart() disposes of the wreck.  The identity
+            # until restart() disposes of the wreck.  The identity
             # check matters when a kill cannot land at its yield point (a
             # CPU slice in flight cannot be disarmed): by the time the
-            # ProcessKilled arrives, cold_restart() may already have
+            # ProcessKilled arrives, restart() may already have
             # closed this socket and bound a successor on the same port —
             # closing here would silently unregister the live socket.
 
@@ -481,10 +495,10 @@ class EthernetSpeaker:
                 now
                 - (self._resync_candidate[0]
                    + (packet.stream_pos - self._resync_candidate[1]))
-            ) <= self.resync_threshold
-            if shift <= self.resync_threshold:
+            ) <= self.RESYNC_THRESHOLD
+            if shift <= self.RESYNC_THRESHOLD:
                 self._resync_candidate = None
-            elif shift > self.resync_confirm_window or confirmed:
+            elif shift > self.RESYNC_CONFIRM_WINDOW or confirmed:
                 # re-anchor: either the shift is too large to be a packet
                 # delayed on the wire (producer restart, long pause), or
                 # two consecutive controls agreed on the new schedule

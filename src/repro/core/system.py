@@ -30,7 +30,7 @@ from repro.audio.encodings import encode_samples
 from repro.audio.params import AudioParams, CD_QUALITY
 from repro.codec.cache import DecodeCache, EncodeCache
 from repro.core.channel import ChannelConfig
-from repro.core.cohort import CohortMember, SpeakerCohort
+from repro.core.cohort import SpeakerCohort
 from repro.core.failover import WarmStandby
 from repro.core.protocol import (
     ENTITY_REBROADCASTER,
@@ -90,6 +90,23 @@ class SpeakerNode:
     @property
     def stats(self):
         return self.speaker.stats
+
+    @property
+    def name(self) -> str:
+        return self.speaker.name
+
+    # the node interface, forwarded to the speaker
+    def healthy(self) -> bool:
+        return self.speaker.healthy()
+
+    def crash(self) -> None:
+        self.speaker.crash()
+
+    def hang(self) -> None:
+        self.speaker.hang()
+
+    def restart(self) -> Process:
+        return self.speaker.restart()
 
 
 @dataclass
@@ -391,13 +408,9 @@ class EthernetSpeakerSystem:
         check_interval: float = 0.25,
         control_interval: float = 1.0,
         recovery: str = "none",
-        retransmit_buffer: int = 64,
-        nack_delay: Optional[float] = None,
-        recover_timeout: Optional[float] = None,
         fec_k: int = 4,
         fec_r: int = 1,
         fec_interleave: int = 1,
-        fec_flush_timeout: float = 0.25,
         bandwidth_bps: float = 20e6,
         latency: float = 0.040,
         jitter: float = 0.0,
@@ -454,10 +467,8 @@ class EthernetSpeakerSystem:
             self.wan_fault_injectors.append(injector)
         hop = WanHop(
             link, relay.ingest, recovery=recovery,
-            retransmit_buffer=retransmit_buffer, nack_delay=nack_delay,
-            recover_timeout=recover_timeout,
             fec_k=fec_k, fec_r=fec_r, fec_interleave=fec_interleave,
-            fec_flush_timeout=fec_flush_timeout, name=f"hop:{name}",
+            name=f"hop:{name}",
         )
         hop.child = relay
         relay.uplink = hop
@@ -577,8 +588,8 @@ class EthernetSpeakerSystem:
         name: str = "",
     ) -> Supervisor:
         """A started :class:`~repro.mgmt.supervisor.Supervisor` on this
-        system's clock; register nodes with :meth:`supervise_speaker` /
-        :meth:`supervise_rebroadcaster` (or ``supervisor.watch``)."""
+        system's clock; register nodes with :meth:`supervise` (or
+        ``supervisor.watch``)."""
         supervisor = Supervisor(
             self.sim,
             heartbeat_interval=heartbeat_interval,
@@ -591,35 +602,14 @@ class EthernetSpeakerSystem:
         self.supervisors.append(supervisor)
         return supervisor
 
-    def supervise_speaker(
-        self, supervisor: Supervisor, node: SpeakerNode, name: str = "",
-    ):
-        """Heartbeat ``node`` and cold-restart it when it goes silent."""
-        speaker = node.speaker
-
-        def probe() -> bool:
-            return (
-                speaker._proc is not None
-                and speaker._proc.alive
-                and not speaker._proc.frozen
-            )
-
+    def supervise(self, supervisor: Supervisor, node, name: str = ""):
+        """Heartbeat ``node`` (a :class:`SpeakerNode`, speaker,
+        :class:`Rebroadcaster` or :class:`WarmStandby`: anything with a
+        ``machine``, a ``name``, ``healthy()`` and ``restart()``) and
+        restart it when it goes silent."""
         return supervisor.watch(
-            name or speaker.name, node.machine, probe,
-            restart=speaker.cold_restart,
-        )
-
-    def supervise_rebroadcaster(
-        self, supervisor: Supervisor, rb: Rebroadcaster, name: str = "",
-    ):
-        """Heartbeat a producer and restart it (epoch bumped) on silence."""
-
-        def probe() -> bool:
-            return rb.alive and not rb._proc.frozen
-
-        return supervisor.watch(
-            name or f"{rb.machine.name}/rb-ch{rb.channel.channel_id}",
-            rb.machine, probe, restart=rb.restart,
+            name or node.name, node.machine, node.healthy,
+            restart=node.restart,
         )
 
     # -- the dynamic control plane (ATDECC-style) --------------------------------
@@ -708,21 +698,12 @@ class EthernetSpeakerSystem:
         agent.on_disconnected = on_disconnected
         node.agent = agent
         self.mgmt_agents.append(agent)
-
-        def probe() -> bool:
-            # parked (never started) counts as healthy: the node is up
-            # and waiting for its first ACMP CONNECT
-            if speaker._crashed:
-                return False
-            proc = speaker._proc
-            return proc is None or (proc.alive and not proc.frozen)
-
         advertiser = EntityAdvertiser(
             node.machine,
             entity_id,
             entity_kind=ENTITY_SPEAKER,
             name=speaker.name,
-            probe=probe,
+            probe=speaker.healthy,
             valid_time=valid_time,
             interval=interval,
             channel_id_fn=lambda: (
@@ -747,17 +728,12 @@ class EthernetSpeakerSystem:
         """Advertise a talker.  Restart/failover epoch bumps advance the
         serial so registries see the state change immediately."""
         self._attach_mgmt(rb.machine)
-        entity_id = self._next_entity_id()
-
-        def probe() -> bool:
-            return rb.alive and not rb._proc.frozen
-
         advertiser = EntityAdvertiser(
             rb.machine,
-            entity_id,
+            self._next_entity_id(),
             entity_kind=entity_kind,
-            name=name or f"{rb.machine.name}/rb-ch{rb.channel.channel_id}",
-            probe=probe,
+            name=name or rb.name,
+            probe=rb.healthy,
             valid_time=valid_time,
             interval=interval,
             channel_id_fn=lambda: rb.channel.channel_id,
@@ -794,22 +770,17 @@ class EthernetSpeakerSystem:
     ) -> EntityAdvertiser:
         """Advertise a WAN relay.  Relays have no host machine of their
         own (they live behind WAN hops), so the advert runs on a small
-        management proxy box whose probe inspects the relay."""
+        management proxy box whose probe asks the relay's ``healthy()``."""
         machine = Machine(
             self.sim, f"{relay.name}-mgmt", cpu_freq_hz=cpu_freq_hz
         )
         self._attach_mgmt(machine)
-        entity_id = self._next_entity_id()
-
-        def probe() -> bool:
-            return relay.alive
-
         advertiser = EntityAdvertiser(
             machine,
-            entity_id,
+            self._next_entity_id(),
             entity_kind=ENTITY_RELAY,
             name=relay.name,
-            probe=probe,
+            probe=relay.healthy,
             valid_time=valid_time,
             interval=interval,
             telemetry=self.telemetry,
@@ -863,18 +834,21 @@ class EthernetSpeakerSystem:
     ) -> float:
         """Schedule a node fault ``after`` seconds from now.
 
-        ``target`` is a :class:`SpeakerNode` (or bare speaker), a
+        ``target`` is any node: a :class:`SpeakerNode` (or bare speaker),
+        a :class:`~repro.core.cohort.CohortMember`, a
         :class:`Rebroadcaster`, a :class:`WarmStandby`, or a WAN
-        :class:`~repro.net.wan.RelayNode`; ``kind`` is
-        ``"crash"`` (abrupt process death) or ``"hang"`` (wedged: stops
-        consuming its socket and servicing timers without exiting).  With
-        ``restart_after`` the matching recovery — ``cold_restart`` for
-        speakers, epoch-bumping ``restart`` for producers — fires that
-        many seconds after the fault.  ``jitter`` adds a seeded uniform
-        offset to both times, so chaos scenarios stay deterministic per
-        seed.  Returns the actual fault delay.
+        :class:`~repro.net.wan.RelayNode`.  ``kind`` picks the verb the
+        node answers: ``"crash"`` (abrupt process death) or ``"hang"``
+        (wedged: stops consuming its socket and servicing timers without
+        exiting).  With ``restart_after`` the node's own ``restart()``
+        (a cold reboot for speakers, an epoch bump for producers) fires
+        that many seconds after the fault.  ``jitter`` adds a seeded
+        uniform offset to both times, so chaos scenarios stay
+        deterministic per seed.  Returns the actual fault delay.
         """
-        fault, recover = self._fault_actions(target, kind)
+        if kind not in ("crash", "hang"):
+            raise ValueError(f"unknown fault kind {kind!r}")
+        fault = target.crash if kind == "crash" else target.hang
         rng = random.Random(seed)
         delay = after + (rng.uniform(0.0, jitter) if jitter > 0 else 0.0)
         self.sim.schedule(delay, fault)
@@ -882,37 +856,8 @@ class EthernetSpeakerSystem:
             recover_delay = delay + restart_after + (
                 rng.uniform(0.0, jitter) if jitter > 0 else 0.0
             )
-            self.sim.schedule(recover_delay, recover)
+            self.sim.schedule(recover_delay, target.restart)
         return delay
-
-    def _fault_actions(self, target, kind: str):
-        if kind not in ("crash", "hang"):
-            raise ValueError(f"unknown fault kind {kind!r}")
-        if isinstance(target, CohortMember):
-            fault = target.crash if kind == "crash" else target.hang
-            return fault, target.cold_restart
-        speaker = None
-        if isinstance(target, SpeakerNode):
-            speaker = target.speaker
-        elif isinstance(target, EthernetSpeaker):
-            speaker = target
-        if speaker is not None:
-            fault = speaker.crash if kind == "crash" else speaker.hang
-            return fault, speaker.cold_restart
-        if isinstance(target, WarmStandby):
-            fault = target.crash if kind == "crash" else (
-                lambda: target.rb.hang()
-            )
-            return fault, target.restart
-        if isinstance(target, Rebroadcaster):
-            fault = target.stop if kind == "crash" else target.hang
-            return fault, target.restart
-        from repro.net.wan import RelayNode
-
-        if isinstance(target, RelayNode):
-            fault = target.crash if kind == "crash" else target.hang
-            return fault, target.restart
-        raise TypeError(f"cannot inject node faults into {target!r}")
 
     # -- sources ------------------------------------------------------------------
 

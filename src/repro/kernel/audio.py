@@ -317,10 +317,6 @@ class SpeakerSink:
             return np.zeros(0)
         return np.concatenate(pieces)
 
-    def play_times(self) -> List[float]:
-        """Start time of each non-silence block (for sync measurements)."""
-        return [t for t, _, s, _ in self.records if not s]
-
     def time_at_bytes(self, offset: int) -> Optional[float]:
         """The DAC time at which the ``offset``-th PCM byte was emitted.
 

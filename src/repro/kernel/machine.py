@@ -198,10 +198,3 @@ class Machine:
         if entry is None:
             raise DeviceError(f"{self.name}: bad file descriptor {fd}")
         return entry
-
-    # -- interrupt context -------------------------------------------------------------
-
-    def interrupt_cost(self):
-        """Waitable: CPU cost of one interrupt service, attributed to a
-        dedicated interrupt context for switch accounting."""
-        return self.cpu.run(self.intr_cycles, domain="intr", owner="intr")

@@ -80,10 +80,6 @@ class CatalogAnnouncer:
         self._channels[channel.channel_id] = channel
         self._probes[channel.channel_id] = probe
 
-    def remove_channel(self, channel_id: int) -> None:
-        self._channels.pop(channel_id, None)
-        self._probes.pop(channel_id, None)
-
     def suspend(self, channel_id: int) -> None:
         """MSNIP-style: stop advertising a listenerless channel."""
         self._suspended.add(channel_id)

@@ -140,6 +140,9 @@ class FleetController:
 
     #: CPU cycles to process one inbound PDU or send one command
     PROCESS_CYCLES = 2000
+    #: each transaction retry timeout is stretched by a seeded factor in
+    #: ``[1, 1 + TIMEOUT_JITTER)``
+    TIMEOUT_JITTER = 0.5
 
     def __init__(
         self,
@@ -151,7 +154,6 @@ class FleetController:
         default_valid_time: float = DEFAULT_VALID_TIME,
         txn_timeout: float = 0.25,
         txn_retries: int = 3,
-        timeout_jitter: float = 0.5,
         seed: int = 0,
         prune_after: Optional[float] = None,
         auto_enumerate: bool = False,
@@ -166,7 +168,6 @@ class FleetController:
         self.default_valid_time = default_valid_time
         self.txn_timeout = txn_timeout
         self.txn_retries = txn_retries
-        self.timeout_jitter = timeout_jitter
         self.seed = seed
         self.prune_after = prune_after
         self.auto_enumerate = auto_enumerate
@@ -420,7 +421,7 @@ class FleetController:
     def _txn_deadline(self, attempt: int) -> float:
         """Seeded retry timeout: linear back-off plus deterministic
         jitter drawn from the controller's RNG."""
-        jitter = 1.0 + self._rng.random() * self.timeout_jitter
+        jitter = 1.0 + self._rng.random() * self.TIMEOUT_JITTER
         return self.txn_timeout * (attempt + 1) * jitter
 
     def enumerate(self, entity_id: int) -> Process:

@@ -131,7 +131,6 @@ class ManagementAgent:
         group: str = MGMT_GROUP,
         port: int = MGMT_PORT,
         entity_id: int = 0,
-        descriptor_fn: Optional[Callable[[], Dict[str, bytes]]] = None,
         stack=None,
     ):
         self.speaker = speaker
@@ -139,7 +138,6 @@ class ManagementAgent:
         self.group = group
         self.port = port
         self.entity_id = entity_id
-        self.descriptor_fn = descriptor_fn
         self.stack = stack if stack is not None else self.machine.control_stack
         self.commands_executed = 0
         self.acmp_handled = 0
@@ -180,7 +178,7 @@ class ManagementAgent:
 
     # -- ATDECC-style PDUs ----------------------------------------------------
 
-    def default_descriptor(self) -> Dict[str, bytes]:
+    def descriptor(self) -> Dict[str, bytes]:
         sp = self.speaker
         return {
             "entity": str(self.entity_id).encode(),
@@ -196,17 +194,12 @@ class ManagementAgent:
         if pkt.entity_id != self.entity_id:
             return
         if pkt.command == AECP_READ_DESCRIPTOR:
-            fields = (
-                self.descriptor_fn()
-                if self.descriptor_fn is not None
-                else self.default_descriptor()
-            )
             reply = AecpPacket(
                 entity_id=self.entity_id,
                 message_type=AECP_RESPONSE,
                 command=pkt.command,
                 status=AECP_OK,
-                payload=pack_archive(fields),
+                payload=pack_archive(self.descriptor()),
                 seq=pkt.seq,
             )
         else:
@@ -229,7 +222,7 @@ class ManagementAgent:
         if pkt.message_type == ACMP_CONNECT_RX_COMMAND:
             reply_type = ACMP_CONNECT_RX_RESPONSE
             speaker.retune(pkt.group_ip, pkt.port)
-            if getattr(speaker, "_proc", None) is None:
+            if not speaker.started:
                 # booted parked: first CONNECT starts the receive loop
                 speaker.start()
             if self.on_connected is not None:

@@ -147,7 +147,7 @@ class FaultInjector:
         ``EthernetSegment.loss_rate`` counts per-receiver copies).
     duplicate_rate:
         probability a surviving copy is delivered twice; the echo lands
-        ``duplicate_lag`` seconds after the original.
+        :attr:`DUPLICATE_LAG` seconds after the original.
     reorder_rate, reorder_window, reorder_hold:
         probability a copy is held back, how many later copies to the
         same receiver may overtake it, and the wall-clock safety valve
@@ -159,13 +159,15 @@ class FaultInjector:
         extra per-copy uniform delay in ``[0, jitter]`` seconds.
     """
 
+    #: how far behind the original a duplicated copy lands
+    DUPLICATE_LAG = 100e-6
+
     def __init__(
         self,
         sim,
         loss_rate: float = 0.0,
         burst_length: float = 1.0,
         duplicate_rate: float = 0.0,
-        duplicate_lag: float = 100e-6,
         reorder_rate: float = 0.0,
         reorder_window: int = 3,
         reorder_hold: float = 0.25,
@@ -187,7 +189,6 @@ class FaultInjector:
         self.loss_rate = loss_rate
         self.burst_length = burst_length
         self.duplicate_rate = duplicate_rate
-        self.duplicate_lag = duplicate_lag
         self.reorder_rate = reorder_rate
         self.reorder_window = reorder_window
         self.reorder_hold = reorder_hold
@@ -284,7 +285,7 @@ class FaultInjector:
             if self.corrupt_rate and rng.random() < self.corrupt_rate:
                 copy = self._corrupt(dgram)
                 self.stats.corrupted += 1
-            copy_delay = delay + i * self.duplicate_lag
+            copy_delay = delay + i * self.DUPLICATE_LAG
             if self.jitter:
                 extra = rng.uniform(0.0, self.jitter)
                 copy_delay += extra

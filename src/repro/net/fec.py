@@ -390,17 +390,20 @@ class FecReassembler:
     pending state exactly like the hop resequencer.
     """
 
+    #: groups per channel holding parity that no repair has used yet;
+    #: the oldest is abandoned past this
+    PENDING_LIMIT = 64
+    #: finished group ids remembered per channel, so late parity for an
+    #: already-decided group is recognised and dropped
+    DONE_LIMIT = 1024
+
     def __init__(
         self,
         stats: Optional[FecStats] = None,
         window: int = 256,
-        pending_limit: int = 64,
-        done_limit: int = 1024,
     ):
         self.stats = stats if stats is not None else FecStats()
         self.window = window
-        self.pending_limit = pending_limit
-        self.done_limit = done_limit
         self._channels: Dict[int, _RxChannel] = {}
 
     def on_data(
@@ -451,7 +454,7 @@ class FecReassembler:
         grp.rows[pkt.parity_index] = pkt
         grp.received += 1
         repaired = self._try_repair(ch, pkt.base_seq)
-        while len(ch.pending) > self.pending_limit:
+        while len(ch.pending) > self.PENDING_LIMIT:
             base, old = ch.pending.popitem(last=False)
             self._account_abandoned(ch, old)
         return repaired
@@ -522,7 +525,7 @@ class FecReassembler:
             self.stats.wasted += max(0, len(grp.rows) - rows_used)
         ch.done.add(base)
         ch.done_q.append(base)
-        while len(ch.done_q) > self.done_limit:
+        while len(ch.done_q) > self.DONE_LIMIT:
             ch.done.discard(ch.done_q.popleft())
 
     def _account_abandoned(self, ch: _RxChannel, grp: _RxGroup) -> None:

@@ -36,11 +36,6 @@ class BandwidthMonitor:
         self.total_payload_bytes = 0
         self.frames = 0
         self.per_flow_bytes: Dict[Tuple[str, int], int] = defaultdict(int)
-        #: when the wire last carried anything / per-flow last activity —
-        #: the liveness signal the supervision layer reads to distinguish
-        #: "producer dead" from "whole LAN idle"
-        self.last_frame_time: float = sim.now
-        self._flow_last_seen: Dict[Tuple[str, int], float] = {}
         self._samples: List[Tuple[float, int]] = []
         segment.add_tap(self._on_frame)
 
@@ -49,8 +44,6 @@ class BandwidthMonitor:
         self.total_wire_bytes += dgram.wire_size
         self.total_payload_bytes += len(dgram.payload)
         self.per_flow_bytes[(dgram.dst_ip, dgram.dst_port)] += dgram.wire_size
-        self.last_frame_time = self.sim.now
-        self._flow_last_seen[(dgram.dst_ip, dgram.dst_port)] = self.sim.now
         if (
             self.telemetry.enabled
             and self.frames % _TRACE_SAMPLE_FRAMES == 0
@@ -66,8 +59,6 @@ class BandwidthMonitor:
         self.total_payload_bytes = 0
         self.frames = 0
         self.per_flow_bytes.clear()
-        self.last_frame_time = self.sim.now
-        self._flow_last_seen.clear()
 
     @property
     def elapsed(self) -> float:
@@ -85,15 +76,3 @@ class BandwidthMonitor:
 
     def flow_mbps(self, dst_ip: str, dst_port: int) -> float:
         return self.per_flow_bytes[(dst_ip, dst_port)] * 8 / self.elapsed / 1e6
-
-    @property
-    def idle_seconds(self) -> float:
-        """How long the wire has been silent (0.0 while traffic flows)."""
-        return self.sim.now - self.last_frame_time
-
-    def flow_idle_seconds(self, dst_ip: str, dst_port: int) -> float:
-        """Silence on one (ip, port) flow; ``inf`` if it never spoke."""
-        last = self._flow_last_seen.get((dst_ip, dst_port))
-        if last is None:
-            return float("inf")
-        return self.sim.now - last

@@ -263,10 +263,3 @@ class EthernetSegment:
                 tel.observe("net.fanout_batch", len(targets),
                             bounds=FANOUT_BOUNDS)
         return True
-
-    @property
-    def utilisation_bps(self) -> float:
-        """Average offered load so far (bytes on wire / elapsed time)."""
-        if self.sim.now <= 0:
-            return 0.0
-        return self.stats.bytes_sent * 8 / self.sim.now

@@ -49,9 +49,11 @@ class SwitchedSegment:
 
     Each port has independent ingress and egress serialisation at
     ``port_bps``.  ``igmp_snooping`` prunes multicast to joined ports;
-    when off, multicast floods like broadcast.  ``max_egress_backlog``
+    when off, multicast floods like broadcast.  :attr:`MAX_EGRESS_BACKLOG`
     bounds each egress queue in frames, whatever their size.
     """
+
+    MAX_EGRESS_BACKLOG = 200
 
     def __init__(
         self,
@@ -61,7 +63,6 @@ class SwitchedSegment:
         jitter: float = 0.0,
         loss_rate: float = 0.0,
         igmp_snooping: bool = True,
-        max_egress_backlog: int = 200,
         seed: int = 0,
         name: str = "switch0",
         telemetry=None,
@@ -75,7 +76,6 @@ class SwitchedSegment:
         self.jitter = jitter
         self.loss_rate = loss_rate
         self.igmp_snooping = igmp_snooping
-        self.max_egress_backlog = max_egress_backlog
         self.name = name
         self.stats = SwitchStats()
         self.telemetry.register("switch", name, self.stats)
@@ -133,7 +133,10 @@ class SwitchedSegment:
         #: all land on one instant, so multicast fan-out usually builds a
         #: single group); insertion order preserves per-receiver order
         groups: Dict[float, List] = {}
-        delivered_any = False
+        #: a frame is refused (False) only when no selected port queued
+        #: it; a copy then lost on the wire is a receiver loss, as on
+        #: an EthernetSegment
+        queued = False
         for nic in receivers:
             queue = self._egress.get(id(nic))
             if queue is None:
@@ -141,7 +144,7 @@ class SwitchedSegment:
             while queue and queue[0] <= now:
                 queue.popleft()
             backlog = len(queue)
-            if backlog > self.max_egress_backlog:
+            if backlog > self.MAX_EGRESS_BACKLOG:
                 self.stats.frames_dropped += 1
                 tracer.instant("switch.drop", track=f"{self.name}:{nic.name}",
                                backlog=backlog)
@@ -149,6 +152,7 @@ class SwitchedSegment:
             out_start = max(in_done, queue[-1]) if queue else in_done
             out_done = out_start + tx_time
             queue.append(out_done)
+            queued = True
             if tel.enabled:
                 # one complete event per forwarded copy: queueing +
                 # serialisation on the egress port (the forward is
@@ -167,7 +171,6 @@ class SwitchedSegment:
                 # draw order the per-object loop below uses
                 delay = out_done - now + self.latency
                 transmit_cohort(self, cohort, dgram, delay)
-                delivered_any = True
                 continue
             if self.loss_rate and self._rng.random() < self.loss_rate:
                 self.stats.receiver_losses += 1
@@ -175,7 +178,6 @@ class SwitchedSegment:
             delay = out_done - now + self.latency
             if batching:
                 groups.setdefault(delay, []).append(nic)
-                delivered_any = True
                 continue
             if self.jitter:
                 delay += self._rng.uniform(0.0, self.jitter)
@@ -183,7 +185,6 @@ class SwitchedSegment:
                 self.faults.deliver(nic, dgram, delay)
             else:
                 self.sim.schedule_transient(delay, nic.deliver, dgram)
-            delivered_any = True
         for delay, nics in groups.items():
             if len(nics) == 1:
                 self.sim.schedule_transient(delay, nics[0].deliver, dgram)
@@ -192,7 +193,7 @@ class SwitchedSegment:
             if tel.enabled:
                 tel.observe("net.fanout_batch", len(nics),
                             bounds=FANOUT_BOUNDS)
-        return delivered_any or not receivers
+        return queued or not receivers
 
     # -- forwarding decision ------------------------------------------------------
 

@@ -262,10 +262,10 @@ class WanHop:
       order jitter produced and the LAN's conceal/dedupe policy deals
       with it.
     * ``"nack"`` — the **sender** keeps a bounded ring of the last
-      ``retransmit_buffer`` data frames; the **receiver** resequences,
+      :attr:`RETRANSMIT_BUFFER` data frames; the **receiver** resequences,
       NACKs missing seqs once over the reverse path after ``nack_delay``
       of natural-reordering grace, and abandons each gap position after
-      ``recover_timeout``.
+      ``recover_timeout`` (both derived from the link profile).
     * ``"fec"`` — the sender runs a :class:`~repro.net.fec.FecEncoder`
       (``fec_k`` data / ``fec_r`` parity / ``fec_interleave`` lanes) and
       the receiver a :class:`~repro.net.fec.FecReassembler`; repaired
@@ -284,19 +284,20 @@ class WanHop:
     overhead on one hop is invisible to the rest of the tree.
     """
 
+    #: data frames the sender's NACK ring (and the receiver's hold) keeps
+    RETRANSMIT_BUFFER = 64
+    #: how long the FEC encoder waits for a group to fill before it
+    #: flushes the partial group's parity
+    FEC_FLUSH_TIMEOUT = 0.25
+
     def __init__(
         self,
         link: WanLink,
         deliver: Callable[[bytes], None],
         recovery: str = "none",
-        retransmit_buffer: int = 64,
-        nack_delay: Optional[float] = None,
-        recover_timeout: Optional[float] = None,
         fec_k: int = 4,
         fec_r: int = 1,
         fec_interleave: int = 1,
-        fec_flush_timeout: float = 0.25,
-        fec_window: int = 256,
         name: str = "",
     ):
         if recovery not in RECOVERY_POLICIES:
@@ -310,25 +311,19 @@ class WanHop:
         self.nack = recovery in ("nack", "fec+nack")
         self._fec_on = recovery in ("fec", "fec+nack")
         self._resequencing = recovery != "none"
-        self.retransmit_buffer = retransmit_buffer
         #: grace before NACKing: jitter reordering for a NACK-only hop;
         #: for the full ladder, additionally the FEC horizon — parity
         #: gets its chance before the reverse path is used
-        if nack_delay is not None:
-            self.nack_delay = nack_delay
-        elif recovery == "fec+nack":
-            self.nack_delay = fec_flush_timeout + max(link.jitter, 0.005)
-        else:
-            self.nack_delay = max(link.jitter, 0.005)
+        self.nack_delay = max(link.jitter, 0.005)
+        if recovery == "fec+nack":
+            self.nack_delay += self.FEC_FLUSH_TIMEOUT
         #: per gap position: how long from detection until we skip it
-        if recover_timeout is not None:
-            self.recover_timeout = recover_timeout
-        elif recovery == "fec":
+        if recovery == "fec":
             # no reverse path: the gap either repairs within the parity
             # horizon (group fill bounded by the encoder flush timer,
             # plus one forward trip) or it never will
             self.recover_timeout = (
-                fec_flush_timeout + link.latency + link.jitter + 0.05
+                self.FEC_FLUSH_TIMEOUT + link.latency + link.jitter + 0.05
             )
         else:
             # NACK grace + reverse path + retransmitted forward path
@@ -350,7 +345,7 @@ class WanHop:
             self._encoder = FecEncoder(
                 self.sim, self._send_parity,
                 k=fec_k, r=fec_r, interleave=fec_interleave,
-                flush_timeout=fec_flush_timeout, stats=self.fec,
+                flush_timeout=self.FEC_FLUSH_TIMEOUT, stats=self.fec,
             )
         # -- receiver side (lives in the child node's RAM) --
         self._rx_epoch: Optional[int] = None
@@ -360,9 +355,7 @@ class WanHop:
         self._gen = 0  # invalidates scheduled NACK/deadline callbacks
         self._reassembler: Optional[FecReassembler] = None
         if self._fec_on:
-            self._reassembler = FecReassembler(
-                stats=self.fec, window=fec_window,
-            )
+            self._reassembler = FecReassembler(stats=self.fec)
 
     @property
     def pending(self) -> int:
@@ -384,7 +377,7 @@ class WanHop:
                     self._ring.clear()
                     self._tx_epoch = epoch
                 self._ring[seq] = bytes(wire)
-                while len(self._ring) > self.retransmit_buffer:
+                while len(self._ring) > self.RETRANSMIT_BUFFER:
                     self._ring.popitem(last=False)
         ok = self.link.send(wire, self._arrive)
         if is_data and not ok:
@@ -522,10 +515,10 @@ class WanHop:
 
     def _register_gap(self, d: int) -> None:
         """Track the gap positions in ``[_next, _next + d)``."""
-        # the sender's ring only holds retransmit_buffer frames: a wider
+        # the sender's ring only holds RETRANSMIT_BUFFER frames: a wider
         # gap (e.g. across relay downtime) is unrecoverable up front —
         # skip the hopeless prefix instead of NACKing into the void
-        hopeless = max(0, d - self.retransmit_buffer)
+        hopeless = max(0, d - self.RETRANSMIT_BUFFER)
         for _ in range(hopeless):
             if self._next in self._hold or self._next in self._missing:
                 break
@@ -589,7 +582,7 @@ class WanHop:
                 break
         # bound the parking lot: if the hold buffer outgrew the ring,
         # give up on the frontmost gap and flush forward
-        while len(self._hold) > self.retransmit_buffer:
+        while len(self._hold) > self.RETRANSMIT_BUFFER:
             nxt = self._next
             if nxt in self._missing:
                 del self._missing[nxt]
@@ -889,6 +882,10 @@ class RelayNode:
             self._arm_watchdog()
 
     # -- node faults -----------------------------------------------------------
+
+    def healthy(self) -> bool:
+        """The probe contract: up and not wedged."""
+        return self.alive and not self.frozen
 
     def crash(self) -> None:
         """Abrupt death: stop forwarding, timers die, RAM is toast (the

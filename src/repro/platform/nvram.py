@@ -22,10 +22,6 @@ class Nvram:
     def _used(self) -> int:
         return sum(len(k) + len(v) for k, v in self._data.items())
 
-    @property
-    def used_bytes(self) -> int:
-        return self._used()
-
     def store(self, key: str, value: bytes) -> None:
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError("NVRAM stores bytes")
@@ -41,9 +37,6 @@ class Nvram:
 
     def load(self, key: str) -> Optional[bytes]:
         return self._data.get(key)
-
-    def erase(self, key: str) -> None:
-        self._data.pop(key, None)
 
     def keys(self):
         return list(self._data)

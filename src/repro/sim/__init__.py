@@ -3,7 +3,7 @@
 Everything in this reproduction — kernels, CPUs, networks, audio hardware —
 runs on virtual time provided by :class:`~repro.sim.core.Simulator`.
 Processes are Python generators that yield *waitables* (sleeps, queue gets,
-resource acquisitions, CPU work) back to the scheduler.
+signal waits, CPU work) back to the scheduler.
 """
 
 from repro.sim.core import Simulator, SimError, Event
@@ -15,7 +15,7 @@ from repro.sim.process import (
     WaitProcess,
     current_process,
 )
-from repro.sim.resources import Queue, QueueClosed, Resource, Signal
+from repro.sim.resources import Queue, QueueClosed, Signal
 from repro.sim.cpu import CPU, CpuStats
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "current_process",
     "Queue",
     "QueueClosed",
-    "Resource",
     "Signal",
     "CPU",
     "CpuStats",

@@ -148,10 +148,6 @@ class CPU:
         job = _CpuJob(self, cycles, domain, owner)
         self._submit(job)
 
-    def seconds_for(self, cycles: float) -> float:
-        """Busy time that ``cycles`` of work will occupy (no overheads)."""
-        return cycles / self.freq_hz
-
     @property
     def busy(self) -> bool:
         return self._current is not None

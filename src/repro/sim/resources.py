@@ -1,4 +1,4 @@
-"""Inter-process coordination primitives: queues, semaphores, signals."""
+"""Inter-process coordination primitives: queues and signals."""
 
 from __future__ import annotations
 
@@ -153,61 +153,6 @@ class Queue:
             putter = self._putters.popleft()
             self._items.append(putter.item)
             putter.proc._resume(None)
-
-
-class _Acquire(Waitable):
-    def __init__(self, resource: "Resource"):
-        self.resource = resource
-        self.proc: Optional[Process] = None
-
-    def _arm(self, proc: Process) -> None:
-        self.proc = proc
-        self.resource._arm(self)
-
-    def _disarm(self, proc: Process) -> bool:
-        return self.resource._disarm(self)
-
-
-class Resource:
-    """Counting semaphore (``slots=1`` gives a mutex)."""
-
-    def __init__(self, slots: int = 1, name: str = "resource"):
-        if slots < 1:
-            raise SimError("resource needs at least one slot")
-        self.slots = slots
-        self.name = name
-        self._in_use = 0
-        self._waiters: deque[_Acquire] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    def acquire(self) -> _Acquire:
-        """Waitable: take a slot, blocking while all are held."""
-        return _Acquire(self)
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimError(f"{self.name}: release without acquire")
-        self._in_use -= 1
-        if self._waiters:
-            self._in_use += 1
-            self._waiters.popleft().proc._resume(None)
-
-    def _arm(self, w: _Acquire) -> None:
-        if self._in_use < self.slots:
-            self._in_use += 1
-            w.proc._resume(None)
-        else:
-            self._waiters.append(w)
-
-    def _disarm(self, w: _Acquire) -> bool:
-        try:
-            self._waiters.remove(w)
-        except ValueError:
-            pass
-        return True
 
 
 class _SignalWait(Waitable):

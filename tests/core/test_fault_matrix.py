@@ -193,7 +193,7 @@ def test_producer_restart_resets_sequence_state():
     system, producer, (node,), _, _ = build()
     rb1 = system.rebroadcasters[0]
     system.play_synthetic(producer, 5.0, LOW)
-    system.sim.schedule(3.0, rb1.stop)
+    system.sim.schedule(3.0, rb1.crash)
 
     def restart():
         from repro.kernel.vad import VadPair
@@ -228,7 +228,7 @@ def test_resync_resets_concealment_context():
     system, producer, (node,), _, _ = build(conceal=True)
     rb1 = system.rebroadcasters[0]
     system.play_pcm(producer, sine(440, 4.0, 8000), LOW)
-    system.sim.schedule(2.5, rb1.stop)
+    system.sim.schedule(2.5, rb1.crash)
 
     def restart():
         from repro.kernel.vad import VadPair

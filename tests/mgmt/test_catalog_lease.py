@@ -90,7 +90,7 @@ def test_dead_talker_is_withheld_within_one_announcement():
     )
     system.run(until=1.0)
     assert len(catalog.live_channels()) == 2
-    rbs[1].stop()                            # ch1's talker dies
+    rbs[1].crash()                            # ch1's talker dies
     system.run(until=1.0 + 2 * VALID)
     live = catalog.live_channels()
     assert [e.name for e in live] == ["ch0"]

@@ -138,7 +138,7 @@ def test_restart_bumps_serial_and_returns_entity():
         (system.sim.now, returning, rec.available_index)
     )
     system.sim.schedule(2.0, node.speaker.crash)
-    system.sim.schedule(4.5, node.speaker.cold_restart)
+    system.sim.schedule(4.5, node.speaker.restart)
     system.run(until=7.0)
     rec = controller.find("phoenix")
     assert rec.state == ENT_AVAILABLE
@@ -161,7 +161,7 @@ def test_failover_epoch_bump_advances_the_serial():
     system.advertise_standby(standby)
     controller = system.add_controller(check_interval=0.1)
     system.play_pcm(producer, sine(440, 6.0, 8000), LOW, source_paced=True)
-    system.sim.schedule(2.0, rb.stop)       # primary dies mid-stream
+    system.sim.schedule(2.0, rb.crash)       # primary dies mid-stream
     system.run(until=6.0)
     assert standby.stats.takeovers == 1
     rec = controller.find(standby.name)
@@ -404,7 +404,7 @@ def test_lease_expiry_drives_exactly_one_restart():
     node = system.add_speaker(channel=ch, name="onceonly")
     system.advertise_speaker(node, valid_time=1.0)
     sup = system.add_supervisor(heartbeat_interval=0.25, restart_delay=0.25)
-    system.supervise_speaker(sup, node)
+    system.supervise(sup, node)
     controller = system.add_controller(
         supervisor=sup, check_interval=0.1
     )
@@ -426,7 +426,7 @@ def test_lease_expiry_for_live_node_is_ignored():
     node = system.add_speaker(channel=ch, name="healthy")
     adv = system.advertise_speaker(node, valid_time=1.0)
     sup = system.add_supervisor(restart_delay=0.25)
-    system.supervise_speaker(sup, node)
+    system.supervise(sup, node)
     system.add_controller(supervisor=sup, check_interval=0.1)
     system.sim.schedule(2.0, adv.stop)    # beacon dies, speaker lives
     system.run(until=6.0)

@@ -26,7 +26,7 @@ def build(duration=12.0, **sup_kwargs):
     sup_kwargs.setdefault("miss_threshold", 2)
     sup_kwargs.setdefault("restart_delay", 0.5)
     supervisor = system.add_supervisor(**sup_kwargs)
-    system.supervise_speaker(supervisor, node)
+    system.supervise(supervisor, node)
     system.play_synthetic(producer, duration, LOW)
     return system, node, supervisor
 
@@ -67,7 +67,7 @@ def test_hung_speaker_with_halted_cpu_starves_the_beat():
     health = sup.nodes[node.speaker.name]
     assert health.restarts == 1
     assert health.status == UP
-    assert not node.machine.cpu.halted  # cold_restart unhalted it
+    assert not node.machine.cpu.halted  # restart unhalted it
     assert node.stats.play_log[-1][1] > 6.0
 
 
@@ -105,9 +105,9 @@ def test_supervised_rebroadcaster_restart_bumps_epoch():
     supervisor = system.add_supervisor(
         heartbeat_interval=0.25, miss_threshold=2, restart_delay=0.5
     )
-    system.supervise_rebroadcaster(supervisor, rb)
+    system.supervise(supervisor, rb)
     system.play_synthetic(producer, 12.0, LOW)
-    system.sim.schedule(4.0, rb.stop)
+    system.sim.schedule(4.0, rb.crash)
     system.run(until=12.0)
     assert rb.alive
     assert rb.epoch == 1  # the new incarnation announces itself

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.audio import AudioEncoding, AudioParams, sine, snr_db
-from repro.net import Datagram, NetworkStack, Nic
+from repro.net import Datagram, EthernetSegment, NetworkStack, Nic
 from repro.net.switch import SwitchedSegment
 from repro.sim import Simulator
 
@@ -159,3 +159,38 @@ def test_es_system_runs_over_a_switch():
 def test_invalid_port_bandwidth():
     with pytest.raises(ValueError):
         SwitchedSegment(Simulator(), port_bps=0)
+
+
+@pytest.mark.parametrize(
+    "make_link",
+    [
+        lambda sim: EthernetSegment(sim, loss_rate=0.5, seed=1),
+        lambda sim: SwitchedSegment(sim, loss_rate=0.5, seed=1,
+                                    igmp_snooping=False),
+    ],
+    ids=["segment", "switch"],
+)
+def test_wire_loss_is_not_a_send_failure(make_link):
+    """``transmit`` returns False only for a frame refused before the
+    wire; a copy the wire then loses is a receiver loss, on both link
+    types.  The switch used to report every lost copy as a refusal too,
+    so a rebroadcaster counted one loss twice."""
+    sim = Simulator()
+    link = make_link(sim)
+    sender = Nic(link, "10.0.0.1", name="tx")
+    rx = Nic(link, "10.0.0.2", promiscuous=True, name="rx")
+    seen = []
+    rx.rx_handler = seen.append
+    results = []
+
+    def send(i):
+        dgram = Datagram("10.0.0.1", 5000, "239.1.1.1", 5000, bytes([i]) * 100)
+        results.append(link.transmit(dgram, sender))
+
+    for i in range(200):
+        sim.schedule(i * 0.01, send, i)
+    sim.run()
+    assert results == [True] * 200
+    assert link.stats.frames_dropped == 0
+    assert 0 < link.stats.receiver_losses < 200
+    assert len(seen) + link.stats.receiver_losses == 200

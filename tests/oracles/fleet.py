@@ -10,20 +10,11 @@ from repro.core.system import SpeakerNode
 
 @dataclass
 class FleetMember(SpeakerNode):
-    """A :class:`SpeakerNode` with a cohort member's fault hooks; node
-    faults (``schedule_fault``) accept it as the speaker node it is."""
-
-    def crash(self) -> None:
-        self.speaker.crash()
-
-    def hang(self) -> None:
-        self.speaker.hang()
+    """A :class:`SpeakerNode` with a cohort member's ``unhang`` hook; the
+    node verbs (``crash``/``hang``/``restart``) it inherits."""
 
     def unhang(self) -> None:
         self.speaker.unhang()
-
-    def cold_restart(self) -> None:
-        self.speaker.cold_restart()
 
 
 class ObjectFleet:

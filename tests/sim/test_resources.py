@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Process, Queue, QueueClosed, Resource, Signal, Simulator, Sleep
+from repro.sim import Process, Queue, QueueClosed, Signal, Simulator, Sleep
 
 
 def spawn(sim, gen, name="p"):
@@ -143,51 +143,6 @@ def test_multiple_getters_served_in_order():
     spawn(sim, producer())
     sim.run()
     assert got == [("first", "a"), ("second", "b")]
-
-
-# -- Resource --------------------------------------------------------------------
-
-
-def test_mutex_serialises_critical_section():
-    sim = Simulator()
-    lock = Resource(1)
-    spans = []
-
-    def worker(tag):
-        yield lock.acquire()
-        start = sim.now
-        yield Sleep(1.0)
-        lock.release()
-        spans.append((tag, start, sim.now))
-
-    spawn(sim, worker("a"))
-    spawn(sim, worker("b"))
-    sim.run()
-    (_, s0, e0), (_, s1, e1) = sorted(spans, key=lambda x: x[1])
-    assert e0 <= s1  # no overlap
-
-
-def test_semaphore_allows_parallelism_up_to_slots():
-    sim = Simulator()
-    sem = Resource(2)
-    starts = []
-
-    def worker():
-        yield sem.acquire()
-        starts.append(sim.now)
-        yield Sleep(1.0)
-        sem.release()
-
-    for _ in range(4):
-        spawn(sim, worker())
-    sim.run()
-    assert starts == [0.0, 0.0, 1.0, 1.0]
-
-
-def test_release_without_acquire_raises():
-    lock = Resource(1)
-    with pytest.raises(Exception):
-        lock.release()
 
 
 # -- Signal ------------------------------------------------------------------------

@@ -407,7 +407,7 @@ def run_churn_scenario(mode, seed):
         system.advertise_speaker(n, valid_time=CP_VALID) for n in nodes
     ]
     system.advertise_rebroadcaster(rb, valid_time=CP_VALID)
-    system.supervise_rebroadcaster(supervisor, rb)
+    system.supervise(supervisor, rb)
     controller = system.add_controller(
         supervisor=supervisor, check_interval=CP_CHECK,
         txn_timeout=0.1, txn_retries=3,
@@ -447,7 +447,7 @@ def run_churn_scenario(mode, seed):
     elif mode == "rb-zombie":
         # the talker dies silently mid-stream: lease expiry and missed
         # heartbeats race to notice; the latch keeps it to one restart
-        system.sim.schedule(3.0, rb.stop)
+        system.sim.schedule(3.0, rb.crash)
         outcome["crash_at"] = 3.0
 
     system.run(until=7.5)

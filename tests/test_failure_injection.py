@@ -34,7 +34,7 @@ def test_producer_restart_mid_stream():
     system, producer, channel, (node,) = build()
     rb1 = system.rebroadcasters[0]
     system.play_synthetic(producer, 5.0, LOW)
-    system.sim.schedule(3.0, rb1.stop)
+    system.sim.schedule(3.0, rb1.crash)
 
     def restart():
         # a second rebroadcaster on a fresh VAD of the same machine

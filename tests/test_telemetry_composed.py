@@ -55,7 +55,7 @@ def _composed(telemetry: bool) -> EthernetSpeakerSystem:
     listener = system.add_speaker(channel=live)
     system.advertise_speaker(listener, valid_time=0.5, interval=0.1)
     supervisor = system.add_supervisor(heartbeat_interval=0.2)
-    system.supervise_speaker(supervisor, listener)
+    system.supervise(supervisor, listener)
     system.add_controller(check_interval=0.1, supervisor=supervisor)
     system.play_pcm(live_src, music(4.0, 8000, seed=2), NARROW)
     system.schedule_fault(primary, after=1.5, kind="crash")
