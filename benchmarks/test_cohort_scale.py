@@ -1,9 +1,9 @@
 """COHORT — ten thousand speakers should cost barely more than one.
 
 A unity-gain fleet is N copies of the same state machine fed the same
-multicast bytes.  ``SpeakerCohort`` collapses the copies into numpy rows
-behind one exemplar speaker, advancing the whole fleet one event per
-delivered frame instead of N — so host wall-clock scales with the
+multicast bytes.  ``SpeakerCohort`` collapses the copies into one
+exemplar speaker whose state every member shares, advancing the whole
+fleet one event per delivered frame instead of N — so host wall-clock scales with the
 *stream*, not the audience, exactly like the wire does (§2.3: the
 producer "does not need to maintain any state for the Ethernet
 Speakers").

@@ -79,27 +79,36 @@ def encode_samples(samples: np.ndarray, params: AudioParams) -> bytes:
     x = _clip(samples)
     if x.ndim == 1:
         x = x[:, np.newaxis]
-    if x.shape[1] == 1 and params.channels == 2:
-        x = np.repeat(x, 2, axis=1)
-    if x.shape[1] != params.channels:
+    widen = x.shape[1] == 1 and params.channels == 2
+    if not widen and x.shape[1] != params.channels:
         raise ValueError(
             f"sample array has {x.shape[1]} channels, device expects "
             f"{params.channels}"
         )
-    flat = x.reshape(-1)  # interleave
-    enc = params.encoding
+    codes = _quantise(x, params.encoding)
+    if widen:
+        # duplicate the integer codes, not the floats: quantising is
+        # per sample, and this keeps stereo-sized float temporaries out
+        codes = np.repeat(codes, 2, axis=1)
+    return codes.tobytes()  # C order interleaves the channels
+
+
+def _quantise(x: np.ndarray, enc: AudioEncoding) -> np.ndarray:
+    """Clipped float samples -> wire codes of the same shape.  ``x`` is
+    the caller's scratch copy and is overwritten."""
     if enc is AudioEncoding.SLINEAR16:
-        return (
-            np.round(flat * 32767.0).astype("<i2").tobytes()
-        )
+        np.rint(np.multiply(x, 32767.0, out=x), out=x)
+        return x.astype("<i2")
     if enc is AudioEncoding.SLINEAR8:
-        return np.round(flat * 127.0).astype(np.int8).tobytes()
+        np.rint(np.multiply(x, 127.0, out=x), out=x)
+        return x.astype(np.int8)
     if enc is AudioEncoding.ULINEAR8:
-        return (np.round(flat * 127.0) + 128).astype(np.uint8).tobytes()
+        np.rint(np.multiply(x, 127.0, out=x), out=x)
+        return np.add(x, 128.0, out=x).astype(np.uint8)
     if enc is AudioEncoding.ULAW:
-        return mulaw_encode(flat).tobytes()
+        return mulaw_encode(x)
     if enc is AudioEncoding.ALAW:
-        return alaw_encode(flat).tobytes()
+        return alaw_encode(x)
     raise ValueError(f"unsupported encoding {enc}")
 
 

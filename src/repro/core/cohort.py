@@ -1,23 +1,23 @@
-"""Speaker cohorts: N identical unity-gain receivers as one state block.
+"""Speaker cohorts: N identical unity-gain receivers as one exemplar.
 
 ``BENCH_fanout.json`` put the scaling wall at per-speaker Python-object
 and event cost.  A :class:`SpeakerCohort` removes it for the common case
 — many speakers tuned to the same channel, all at unity gain, all seeing
 the same loss-free stream — by running **one** real exemplar
-:class:`~repro.core.speaker.EthernetSpeaker` on a private backplane and
-representing the other N-1 members as rows of numpy arrays (seq/dup
-windows, ring offsets, drop/epoch counters, playout clocks) that advance
-in lockstep with the exemplar, one event per delivered frame instead of
-N.
+:class:`~repro.core.speaker.EthernetSpeaker` on a private backplane
+whose state *is* every aligned member's state: a member is only a token
+until it diverges, and the fleet costs one event per delivered frame
+instead of N.
 
 The moment a member's stream diverges from the shared one — a
 per-receiver loss/jitter/corruption draw, a duplicate, a reorder hold, a
 crash or hang — that member **spills**: a full per-object speaker is
-built mid-stream carrying the member's seq window, ring offset, playout
-clock and ledger, and from then on it is an ordinary node.  The spill is
-timed so the clone is bit-identical to the per-object speaker it stands
-in for: it executes at the exemplar's packet boundary *before* the first
-frame the member did not share, so every scalar the clone copies is
+built mid-stream as a copy of the exemplar's live state (seq window,
+ring offset, playout clock and ledger), and from then on it is an
+ordinary node.  The spill is timed so the clone is bit-identical to the
+per-object speaker it stands in for: it executes at the exemplar's
+packet boundary *before* the first frame the member did not share (or,
+for a crash, at the fault instant), so every scalar the clone copies is
 exactly the state the per-object twin had at that instant.
 
 Fate draws stay scalar and in per-member order (see
@@ -32,8 +32,6 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional
 
-import numpy as np
-
 from repro.core.protocol import TYPE_DATA, peek_type
 from repro.core.speaker import EthernetSpeaker
 from repro.kernel.audio import AudioDevice, HardwareAudioDriver, SpeakerSink
@@ -42,62 +40,9 @@ from repro.net.nic import Nic
 from repro.net.segment import Datagram
 
 #: member token states
-ALIGNED = 0    # represented by the exemplar + array row
+ALIGNED = 0    # represented by the exemplar
 PENDING = 1    # divergence drawn, spill armed on the exemplar's boundary
 SPILLED = 2    # full per-object speaker
-
-
-class VectorSeqWindows:
-    """The speaker's 128-entry recent-seq window, N rows at a time.
-
-    Row semantics match ``EthernetSpeaker`` exactly: ``_recent_seqs`` is
-    the set of live ring entries, ``_recent_order`` is the ring in
-    insertion order, and ``_last_seq`` is -1 for "no sequence seen yet".
-    ``tests/core/test_cohort_window.py`` holds the array semantics to the
-    scalar ones across wraparound, eviction and epoch resets.
-    """
-
-    def __init__(self, members: int, window: int = 128):
-        self.n = members
-        self.window = window
-        self.ring = np.full((members, window), -1, dtype=np.int64)
-        self.pos = np.zeros(members, dtype=np.int64)
-        self.count = np.zeros(members, dtype=np.int64)
-        self.last_seq = np.full(members, -1, dtype=np.int64)
-
-    def seen(self, rows, seq: int):
-        """Boolean per row: is ``seq`` in the row's recent window?"""
-        return (self.ring[rows] == seq).any(axis=-1)
-
-    def accept(self, rows, seq: int) -> None:
-        """Remember ``seq`` on every selected row (the scalar
-        ``_remember_seq`` + ``_last_seq`` update, broadcast)."""
-        self.last_seq[rows] = seq
-        pos = self.pos[rows]
-        self.ring[rows, pos] = seq
-        self.pos[rows] = (pos + 1) % self.window
-        np.minimum(self.count[rows] + 1, self.window, out=pos)
-        self.count[rows] = pos
-
-    def reset(self, rows) -> None:
-        """The scalar ``_reset_stream_state`` for the window."""
-        self.ring[rows] = -1
-        self.pos[rows] = 0
-        self.count[rows] = 0
-        self.last_seq[rows] = -1
-
-    def extract(self, idx: int):
-        """Scalar carry-out for a spilling member: ``(last_seq|None,
-        insertion-ordered recent seqs)``."""
-        count = int(self.count[idx])
-        pos = int(self.pos[idx])
-        if count < self.window:
-            order = self.ring[idx, :count]
-        else:
-            order = np.concatenate([self.ring[idx, pos:],
-                                    self.ring[idx, :pos]])
-        last = int(self.last_seq[idx])
-        return (None if last < 0 else last), [int(s) for s in order]
 
 
 class _CohortBackplane:
@@ -225,9 +170,8 @@ class CohortMember:
 class _ExemplarSpeaker(EthernetSpeaker):
     """The one real speaker that stands for every aligned member.
 
-    Overrides the cohort hooks in the receive loop: offers are resolved
-    and spills executed *before* a packet is consumed, and each packet's
-    scalar effects are folded into the member arrays afterwards.
+    Overrides the cohort hook in the receive loop: offers are resolved
+    and spills executed *before* a packet is consumed.
     """
 
     cohort: "SpeakerCohort" = None
@@ -243,27 +187,13 @@ class _ExemplarSpeaker(EthernetSpeaker):
         if c._pending or c._hangs:
             c._run_spills(offer, msg)
 
-    def _packet_boundary(self) -> None:
-        self.cohort._sync_rows()
-
-    def _remember_seq(self, seq: int) -> None:
-        super()._remember_seq(seq)
-        c = self.cohort
-        c.windows.accept(c._mask, seq)
-
-    def _reset_stream_state(self) -> None:
-        super()._reset_stream_state()
-        c = self.cohort
-        if c is not None:
-            c.windows.reset(c._mask)
-
 
 class SpeakerCohort:
-    """N identical unity-gain speakers advanced as one state block.
+    """N identical unity-gain speakers advanced as one exemplar.
 
     Construction mirrors ``EthernetSpeakerSystem.add_speaker`` member for
     member — same machine speed, same audio geometry, same socket depth —
-    but only the exemplar is real; the rest are array rows until they
+    but only the exemplar is real; the rest are tokens until they
     spill.  Per-member gain, verifiers and room models are per-object
     concerns and are rejected here: a member needing them should be an
     ordinary ``add_speaker`` node.
@@ -329,30 +259,6 @@ class SpeakerCohort:
         self.tokens = [CohortMember(self, i) for i in range(members)]
         self._pending: List[CohortMember] = []
         self._hangs: List[CohortMember] = []
-        # -- array-backed member state --------------------------------------
-        self.windows = VectorSeqWindows(members,
-                                        EthernetSpeaker.RECENT_SEQ_WINDOW)
-        self._mask = np.ones(members, dtype=bool)  # aligned + pending rows
-        z = lambda dt: np.zeros(members, dtype=dt)
-        self.arr_bytes_written = z(np.int64)
-        self.arr_write_base = z(np.int64)
-        self.arr_epoch = np.full(members, -1, dtype=np.int64)
-        self.arr_anchor_time = z(np.float64)
-        self.arr_anchor_pos = z(np.float64)
-        self.arr_anchored = z(bool)
-        self.arr_playing = z(bool)
-        self.arr_gap_started = np.full(members, np.nan, dtype=np.float64)
-        #: per-member ledger counters, mirrored from the exemplar at every
-        #: packet boundary (the "drop/epoch counters" of the array block)
-        self.counters = {
-            f: z(np.int64) for f in (
-                "data_rx", "control_rx", "played", "late_dropped",
-                "waiting_dropped", "seq_gaps", "concealed", "dup_dropped",
-                "reorder_dropped", "decode_failed", "resyncs",
-                "epoch_resyncs", "epoch_dropped", "stale_controls",
-                "socket_data_drops", "garbage_rx",
-            )
-        }
         # -- shared-delivery machinery --------------------------------------
         self._next_offer = 0       # exemplar socket delivery attempts
         self._meta = deque()       # (offer, is_data) per queued item
@@ -463,30 +369,6 @@ class SpeakerCohort:
                                 head=msg)
                 tok.node.hang()
 
-    def _sync_rows(self) -> None:
-        """Fold the packet the exemplar just processed into every
-        mirroring row (the one-event-for-N advance)."""
-        if not self._mask.any():
-            return
-        ex = self.exemplar
-        m = self._mask
-        st = ex.stats
-        self.arr_bytes_written[m] = ex._bytes_written
-        self.arr_write_base[m] = ex._write_base
-        self.arr_epoch[m] = -1 if ex._epoch is None else ex._epoch
-        anchored = ex._anchor is not None
-        self.arr_anchored[m] = anchored
-        if anchored:
-            self.arr_anchor_time[m] = ex._anchor[0]
-            self.arr_anchor_pos[m] = ex._anchor[1]
-        self.arr_playing[m] = ex._playing_started
-        self.arr_gap_started[m] = (
-            np.nan if ex._gap_started is None else ex._gap_started
-        )
-        counters = self.counters
-        for field, arr in counters.items():
-            arr[m] = getattr(st, field)
-
     # -- the spill ------------------------------------------------------------
 
     def _clone_cpu_state(self, machine: Machine, proc_map) -> None:
@@ -575,23 +457,17 @@ class SpeakerCohort:
             **self._speaker_kwargs,
         )
         clone._cohort_sink = sink
-        # scalar carry: the seq window and ring offset come from the
-        # member's array row (== the exemplar's scalars by the lockstep
-        # invariant); everything list-shaped is copied from the exemplar
-        last_seq, order = self.windows.extract(idx)
-        clone._last_seq = last_seq
-        clone._recent_order = deque(order)
-        clone._recent_seqs = set(order)
-        clone._bytes_written = int(self.arr_bytes_written[idx])
-        clone._write_base = int(self.arr_write_base[idx])
-        epoch = int(self.arr_epoch[idx])
-        clone._epoch = None if epoch < 0 else epoch
-        if self.arr_anchored[idx]:
-            clone._anchor = (float(self.arr_anchor_time[idx]),
-                             float(self.arr_anchor_pos[idx]))
-        clone._playing_started = bool(self.arr_playing[idx])
-        gap = float(self.arr_gap_started[idx])
-        clone._gap_started = None if np.isnan(gap) else gap
+        # scalar carry: member state *is* the exemplar's live state (see
+        # the docstring); everything list-shaped is copied
+        clone._last_seq = ex._last_seq
+        clone._recent_order = deque(ex._recent_order)
+        clone._recent_seqs = set(ex._recent_seqs)
+        clone._bytes_written = ex._bytes_written
+        clone._write_base = ex._write_base
+        clone._epoch = ex._epoch
+        clone._anchor = ex._anchor
+        clone._playing_started = ex._playing_started
+        clone._gap_started = ex._gap_started
         clone._params = ex._params
         clone._last_pcm = ex._last_pcm
         clone._last_arrival = ex._last_arrival
@@ -622,7 +498,6 @@ class SpeakerCohort:
         self.spills += 1
         tok.state = SPILLED
         tok.node = clone
-        self._mask[idx] = False
         if crashed or carry_queue:
             # the backlog: queued shared frames the member had also
             # received, then every in-flight shared delivery, land in the
@@ -692,25 +567,17 @@ class SpeakerCohort:
 
     # -- ledgers --------------------------------------------------------------
 
-    def _mirrored(self) -> int:
-        return int(self._mask.sum())
+    # a spill is for good, so ``members - spills`` members (aligned and
+    # pending) still share the exemplar's state
 
     def stat_sum(self, field: str) -> int:
-        """Sum a SpeakerStats counter over every member: mirroring rows
+        """Sum a SpeakerStats counter over every member: mirroring members
         share the exemplar's value, spilled members contribute their
         clone's."""
-        total = self._mirrored() * getattr(self.exemplar.stats, field)
+        total = (self.members - self.spills) * getattr(self.exemplar.stats, field)
         for tok in self.tokens:
             if tok.state == SPILLED:
                 total += getattr(tok.node.stats, field)
-        return total
-
-    def socket_drops(self) -> int:
-        mirrored = self._mirrored()
-        total = mirrored * self.exemplar._sock.drops
-        for tok in self.tokens:
-            if tok.state == SPILLED and tok.node._sock is not None:
-                total += tok.node._sock.drops
         return total
 
     def pending_data(self) -> int:
@@ -744,7 +611,7 @@ class SpeakerCohort:
         return total
 
     def underruns(self) -> int:
-        total = self._mirrored() * self._ex_device.underruns
+        total = (self.members - self.spills) * self._ex_device.underruns
         for tok in self.tokens:
             if tok.state == SPILLED:
                 total += tok.node.machine.devices[
@@ -753,7 +620,7 @@ class SpeakerCohort:
         return total
 
     def silence_seconds(self) -> float:
-        total = self._mirrored() * self._ex_sink.silence_seconds
+        total = (self.members - self.spills) * self._ex_sink.silence_seconds
         for tok in self.tokens:
             if tok.state == SPILLED:
                 total += tok.node._cohort_sink.silence_seconds

@@ -376,7 +376,6 @@ class EthernetSpeaker:
                 msg = yield sock.recv()
                 self._note_packet_start(msg)
                 yield from self._process_packet(fd, msg)
-                self._packet_boundary()
         except ProcessKilled:
             raise
         finally:
@@ -412,14 +411,10 @@ class EthernetSpeaker:
         elif isinstance(packet, DataPacket):
             yield from self._handle_data(fd, packet)
 
-    # cohort hooks: a SpeakerCohort exemplar overrides these to run its
-    # spill checks before a packet is consumed and to fold each packet's
-    # effects into the member arrays afterwards.  No-ops on a plain node.
+    # cohort hook: a SpeakerCohort exemplar overrides this to run its
+    # spill checks before a packet is consumed.  A no-op on a plain node.
 
     def _note_packet_start(self, msg) -> None:
-        pass
-
-    def _packet_boundary(self) -> None:
         pass
 
     def _classify_drop(self, payload) -> None:

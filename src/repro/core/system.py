@@ -191,7 +191,6 @@ class EthernetSpeakerSystem:
         #: out-of-band management segment (see :meth:`enable_management`)
         self.controllers: List[FleetController] = []
         self.advertisers: List[EntityAdvertiser] = []
-        self.mgmt_agents: List[ManagementAgent] = []
         self.mgmt_lan: Optional[EthernetSegment] = None
         #: primary producer id -> standby producer nodes that must receive
         #: a mirror of every source feed played into the primary
@@ -302,8 +301,10 @@ class EthernetSpeakerSystem:
         :class:`EthernetSegment` — instead of the system LAN.
 
         ``channel=None`` boots the speaker *parked*: untuned, joined to
-        nothing, waiting for the control plane to CONNECT it (see
-        :meth:`advertise_speaker` / :meth:`connect_speaker`).
+        nothing, its receive loop not started, waiting for the control
+        plane to CONNECT it (see :meth:`advertise_speaker` /
+        :meth:`connect_speaker`).  ``start`` only applies to a tuned
+        speaker.
         """
         segment = self._segment_of(lan)
         name = name or f"es{len(self.speakers)}"
@@ -324,7 +325,7 @@ class EthernetSpeakerSystem:
             machine, group_ip, port, name=name,
             **speaker_kwargs,
         )
-        if start:
+        if start and channel is not None:
             speaker.start()
         node = SpeakerNode(
             machine=machine, speaker=speaker, sink=sink, device=device,
@@ -350,8 +351,8 @@ class EthernetSpeakerSystem:
     ):
         """``members`` identical unity-gain speakers on ``channel``.
 
-        Costs one real exemplar speaker plus numpy member rows and **one**
-        delivery event per frame (see
+        Costs one real exemplar speaker plus a small token per member and
+        **one** delivery event per frame (see
         :class:`~repro.core.cohort.SpeakerCohort`); members that draw a
         divergent fate spill into full per-object speakers mid-stream.
         ``speaker_kwargs`` are :meth:`add_speaker`'s, ``decode_cache`` and
@@ -604,13 +605,27 @@ class EthernetSpeakerSystem:
 
     def supervise(self, supervisor: Supervisor, node, name: str = ""):
         """Heartbeat ``node`` (a :class:`SpeakerNode`, speaker,
-        :class:`Rebroadcaster` or :class:`WarmStandby`: anything with a
-        ``machine``, a ``name``, ``healthy()`` and ``restart()``) and
-        restart it when it goes silent."""
+        :class:`Rebroadcaster`, :class:`WarmStandby` or relay: anything
+        with a ``name``, ``healthy()`` and ``restart()``) and restart it
+        when it goes silent."""
         return supervisor.watch(
-            name or node.name, node.machine, node.healthy,
+            name or node.name, self._host_of(node), node.healthy,
             restart=node.restart,
         )
+
+    def _host_of(self, node) -> Machine:
+        """The machine ``node``'s management agents run on.  A relay has
+        no host of its own (it lives behind WAN hops), so it gets one
+        small management proxy box, built on first use and shared by its
+        advertiser and its heartbeat agent."""
+        machine = getattr(node, "machine", None) or getattr(
+            node, "mgmt_box", None
+        )
+        if machine is None:
+            machine = node.mgmt_box = Machine(
+                self.sim, f"{node.name}-mgmt", cpu_freq_hz=500e6
+            )
+        return machine
 
     # -- the dynamic control plane (ATDECC-style) --------------------------------
 
@@ -697,7 +712,6 @@ class EthernetSpeakerSystem:
         agent.on_connected = on_connected
         agent.on_disconnected = on_disconnected
         node.agent = agent
-        self.mgmt_agents.append(agent)
         advertiser = EntityAdvertiser(
             node.machine,
             entity_id,
@@ -766,14 +780,11 @@ class EthernetSpeakerSystem:
         relay,
         valid_time: float = DEFAULT_VALID_TIME,
         interval: Optional[float] = None,
-        cpu_freq_hz: float = 500e6,
     ) -> EntityAdvertiser:
-        """Advertise a WAN relay.  Relays have no host machine of their
-        own (they live behind WAN hops), so the advert runs on a small
-        management proxy box whose probe asks the relay's ``healthy()``."""
-        machine = Machine(
-            self.sim, f"{relay.name}-mgmt", cpu_freq_hz=cpu_freq_hz
-        )
+        """Advertise a WAN relay.  The advert runs on the relay's
+        management proxy box (see :meth:`_host_of`), whose probe asks the
+        relay's ``healthy()``."""
+        machine = self._host_of(relay)
         self._attach_mgmt(machine)
         advertiser = EntityAdvertiser(
             machine,

@@ -88,6 +88,29 @@ def test_mono_input_duplicated_to_stereo_device():
     assert np.allclose(y[:, 0], y[:, 1])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
+             min_size=0, max_size=100),
+    st.sampled_from(list(AudioEncoding)),
+    st.booleans(),
+)
+def test_property_mono_to_stereo_equals_explicit_repeat(values, encoding,
+                                                        column):
+    """A mono signal encoded for a stereo device gives exactly the bytes
+    of the same signal repeated into both channels by the caller, for
+    every encoding and any value (out of range, NaN and inf included):
+    the widening happens after per-sample quantisation, which must not
+    change a byte."""
+    stereo = AudioParams(encoding, 8000, 2)
+    x = np.array(values, dtype=np.float64)
+    mono = x[:, np.newaxis] if column else x
+    explicit = np.repeat(x[:, np.newaxis], 2, axis=1)
+    with np.errstate(invalid="ignore"):
+        assert encode_samples(mono, stereo) == \
+            encode_samples(explicit, stereo)
+
+
 def test_channel_mismatch_rejected():
     params = AudioParams(AudioEncoding.SLINEAR16, 44100, 1)
     with pytest.raises(ValueError):

@@ -2,11 +2,12 @@
 to the per-object fleet it stands in for.
 
 Every scenario builds the same deployment twice on the same seeds — once
-with ``add_speaker_cohort`` (one exemplar + numpy member rows + mid-stream
-spills) and once with the per-object oracle ``tests/oracles/fleet.py``
-(N real ``add_speaker`` nodes behind the same member API) — and asserts
-that every member's playout (``play_log``, ``write_offsets``), every
-``SpeakerStats`` counter, and the channel/pipeline ledgers agree exactly.
+with ``add_speaker_cohort`` (one exemplar standing for every member +
+mid-stream spills that copy its live state) and once with the per-object
+oracle ``tests/oracles/fleet.py`` (N real ``add_speaker`` nodes behind
+the same member API) — and asserts that every member's playout
+(``play_log``, ``write_offsets``), every ``SpeakerStats`` counter, and
+the channel/pipeline ledgers agree exactly.
 
 Host-side-only quantities are excluded from the ledger comparison: the
 decode cache sees different request streams (one exemplar vs N nodes),
@@ -16,6 +17,7 @@ must match.
 """
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -43,7 +45,11 @@ def add_fleet(system, cohort, channel, members, **speaker_kwargs):
     return add_object_fleet(system, channel, members, **speaker_kwargs)
 
 
-def build(cohort, scenario, seed, **speaker_kwargs):
+#: the stream's block period (CD_QUALITY filler, source-paced)
+BLOCK_SECONDS = 0.065
+
+
+def build(cohort, scenario, seed, crash_at=None, **speaker_kwargs):
     system = EthernetSpeakerSystem(seed=seed)
     producer = system.add_producer()
     channel = system.add_channel("hall", params=CD_QUALITY)
@@ -65,6 +71,9 @@ def build(cohort, scenario, seed, **speaker_kwargs):
         # one member crashes and cold-restarts mid-stream: the spill
         # carries seq window, ring offset and ledger into a full speaker
         system.schedule_fault(fleet.tokens[2], after=1.5, kind="crash",
+                              restart_after=0.8)
+    if crash_at is not None:
+        system.schedule_fault(fleet.tokens[2], after=crash_at, kind="crash",
                               restart_after=0.8)
     system.run(until=HORIZON)
     return system, fleet
@@ -107,6 +116,39 @@ def test_cohort_matches_per_object_fleet(scenario, seed):
     assert_fleets_identical(fleet_cohort, fleet_object)
     assert_ledgers_identical(sys_cohort.pipeline_report(),
                              sys_object.pipeline_report())
+
+
+@pytest.mark.parametrize("step", range(8))
+def test_member_crash_during_playout_matches_per_object_fleet(step):
+    """A member crashes and cold-restarts while audio is flowing, at eight
+    instants spread over one block period: its clone copies the
+    exemplar's live state at the fault instant, so the crashed member and
+    everyone else stay bit-identical to the per-object fleet."""
+    crash_at = 1.3 + step * BLOCK_SECONDS / 8
+    sys_cohort, fleet_cohort = build(True, "clean", 7, crash_at=crash_at)
+    sys_object, fleet_object = build(False, "clean", 7, crash_at=crash_at)
+    assert fleet_cohort.spills == 1
+    assert fleet_cohort.member_stats(2).rejoin_gaps
+    assert_fleets_identical(fleet_cohort, fleet_object)
+    assert_ledgers_identical(sys_cohort.pipeline_report(),
+                             sys_object.pipeline_report())
+
+
+def test_cohort_member_costs_under_500_bytes():
+    """A member that mirrors the exemplar is a token and nothing else: no
+    per-member copies of the exemplar's state."""
+    members = 50_000
+    system = EthernetSpeakerSystem(seed=7)
+    channel = system.add_channel("hall", params=CD_QUALITY)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cohort = system.add_speaker_cohort(channel, members)
+        cost = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cohort.tokens) == members
+    assert cost / members < 500, f"{cost / members:.0f} B per member"
 
 
 @pytest.mark.parametrize("seed", [7, 23])
@@ -152,7 +194,7 @@ def test_clean_run_stays_vectorized():
 
 def test_faulty_run_spills_mid_stream():
     """Per-receiver fates actually exercised the spill path: some members
-    became full speakers mid-stream, the rest stayed array rows."""
+    became full speakers mid-stream, the rest stayed tokens."""
     _, fleet = build(True, "ge-loss-dup-reorder", seed=7)
     assert 0 < fleet.spills <= MEMBERS
     assert fleet.events_saved > 0

@@ -82,7 +82,7 @@ def test_schedule_fault_rejects_unknown_kind():
 # -- supervise() --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("target", ["speaker-node", "rebroadcaster"])
+@pytest.mark.parametrize("target", ["speaker-node", "rebroadcaster", "relay"])
 def test_supervise_restarts_a_crashed_node_exactly_once(target):
     system, node = build(target)
     sup = system.add_supervisor(heartbeat_interval=0.25, miss_threshold=2,
@@ -95,6 +95,49 @@ def test_supervise_restarts_a_crashed_node_exactly_once(target):
     assert health.restarts == 1
     assert node.healthy()
     assert system.pipeline_report().node_restarts == 1
+
+
+def test_supervised_relay_forwards_again():
+    """A relay has no host machine: its heartbeat agent runs on the same
+    management proxy box as its advertiser (``supervise`` used to raise
+    AttributeError on a relay).  A crash gets exactly one restart, and
+    the restarted relay forwards to its leaf LAN again."""
+    system, relay = build("relay")
+    system.advertise_relay(relay, valid_time=1.0)
+    sup = system.add_supervisor(heartbeat_interval=0.25, miss_threshold=2,
+                                restart_delay=0.5)
+    system.supervise(sup, relay)
+    assert relay.advertiser.machine is relay.mgmt_box
+    system.sim.schedule(2.0, relay.crash)
+    system.run(until=2.0)
+    assert relay.stats.forwarded > 0
+    system.run(until=2.9)
+    down = relay.stats.forwarded
+    system.run(until=6.0)
+    assert sup.stats.restarts == 1
+    assert relay.stats.restarts == 1
+    assert relay.healthy()
+    assert relay.stats.forwarded > down
+
+
+def test_untuned_speaker_boots_parked_by_default():
+    """``add_speaker(channel=None)`` boots parked with the default
+    ``start=True`` too: no untuned receive loop runs until a CONNECT
+    first-starts it."""
+    system = EthernetSpeakerSystem()
+    producer = system.add_producer()
+    ch = system.add_channel("hall", params=LOW, compress="never")
+    system.add_rebroadcaster(producer, ch, control_interval=0.5)
+    node = system.add_speaker(channel=None, name="parked")
+    system.advertise_speaker(node, valid_time=1.0)
+    controller = system.add_controller(check_interval=0.1)
+    system.play_synthetic(producer, 6.0, LOW)
+    system.run(until=1.0)
+    assert not node.speaker.started
+    system.connect_speaker(controller, node, ch)
+    system.run(until=4.0)
+    assert node.speaker.started
+    assert node.stats.played > 0
 
 
 # -- the probes no longer disagree --------------------------------------------
