@@ -8,8 +8,12 @@ is a read-only ``memoryview`` into the datagram.
 
 The floors are ~5x below measured throughput on a developer host, so the
 guard trips on an algorithmic regression (a reintroduced copy, a per-call
-``struct.pack`` format compile), not on CI host noise.
+``struct.pack`` format compile), not on CI host noise.  Each batch is
+timed with ``time.perf_counter`` and the fastest of three rounds counts,
+so the gate runs the same with or without ``--benchmark-disable``.
 """
+
+import time
 
 from repro.codec import CodecID
 from repro.core.protocol import DataPacket, parse_packet
@@ -28,6 +32,7 @@ WIRE = PACKET.encode()
 BATCH = 10_000
 MIN_PACK_PER_SEC = 300_000
 MIN_PARSE_PER_SEC = 60_000
+ROUNDS = 3
 
 
 def pack_batch():
@@ -41,16 +46,24 @@ def parse_batch():
         parse_packet(WIRE)
 
 
-def test_pack_throughput(benchmark):
-    benchmark.pedantic(pack_batch, rounds=3, iterations=1)
-    rate = BATCH / benchmark.stats.stats.min
+def best_rate(batch) -> float:
+    """Packets per second of the fastest of :data:`ROUNDS` batches."""
+    best = float("inf")
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        batch()
+        best = min(best, time.perf_counter() - start)
+    return BATCH / best
+
+
+def test_pack_throughput():
+    rate = best_rate(pack_batch)
     print(f"\npack: {rate:,.0f} packets/s (floor {MIN_PACK_PER_SEC:,})")
     assert rate >= MIN_PACK_PER_SEC
 
 
-def test_parse_throughput(benchmark):
-    benchmark.pedantic(parse_batch, rounds=3, iterations=1)
-    rate = BATCH / benchmark.stats.stats.min
+def test_parse_throughput():
+    rate = best_rate(parse_batch)
     print(f"\nparse: {rate:,.0f} packets/s (floor {MIN_PARSE_PER_SEC:,})")
     assert rate >= MIN_PARSE_PER_SEC
 

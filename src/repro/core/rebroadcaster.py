@@ -123,9 +123,9 @@ class Rebroadcaster:
         self._ctl_seq = 0
         self._need_control = False
         self._last_control = float("-inf")
-        #: WAN relay-tree taps: every wire packet (control and data) is
-        #: teed here before LAN transmission — see :meth:`add_wan_tap`
-        self._wan_taps: list = []
+        #: the WAN hops this origin feeds: every wire packet (control and
+        #: data) is teed to them before LAN transmission
+        self.downlinks: list = []
 
     def start(self) -> Process:
         """Spawn the producer process on its machine."""
@@ -352,21 +352,21 @@ class Rebroadcaster:
             self.stats.control_send_failures += 1
         self.stats.control_sent += 1
 
-    def add_wan_tap(self, tap) -> None:
-        """Tee every outgoing wire packet to ``tap(wire)`` — the origin
-        of a WAN relay tree (see :mod:`repro.net.wan`).
+    def add_downlink(self, hop) -> None:
+        """Tee every outgoing wire packet to ``hop.send(wire)`` — the
+        origin of a WAN relay tree (see :mod:`repro.net.wan`).
 
-        The tap sees exactly the protocol bytes the LAN sees, *before*
+        The hop sees exactly the protocol bytes the LAN sees, *before*
         any MACsec-style authentication wrap (each LAN secures its own
         segment), so relays can forward them tandem-free — the payload
         is never decoded again until a speaker plays it.
         """
-        self._wan_taps.append(tap)
+        self.downlinks.append(hop)
 
     def _send(self, sock, wire: bytes):
         machine = self.machine
-        for tap in self._wan_taps:
-            tap(wire)
+        for hop in self.downlinks:
+            hop.send(wire)
         if self.authenticator is not None:
             yield machine.cpu.run(
                 self.authenticator.sign_cycles(len(wire)), domain="user"

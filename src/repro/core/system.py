@@ -72,16 +72,13 @@ class ProducerNode:
     vad: VadPair
 
 
-@dataclass
+@dataclass(eq=False)
 class SpeakerNode:
     machine: Machine
     speaker: EthernetSpeaker
     sink: SpeakerSink
     device: AudioDevice
     channel: Optional[ChannelConfig] = None
-    #: the segment this speaker listens on (the system LAN, or a relay
-    #: tree leaf LAN)
-    lan: Optional[EthernetSegment] = None
     #: populated by :meth:`EthernetSpeakerSystem.advertise_speaker`
     entity_id: Optional[int] = None
     agent: Optional[ManagementAgent] = None
@@ -108,17 +105,30 @@ class SpeakerNode:
     def restart(self) -> Process:
         return self.speaker.restart()
 
+    # the cohort's report reads, for a fleet of one
+    members = 1
+
+    def stat_sum(self, field: str) -> int:
+        return getattr(self.speaker.stats, field)
+
+    def pending_data(self) -> int:
+        return self.speaker.pending_data
+
+    def underruns(self) -> int:
+        return self.device.underruns
+
+    def silence_seconds(self) -> float:
+        return self.sink.silence_seconds
+
 
 @dataclass
 class LeafLan:
     """A LAN segment at the bottom of the WAN relay tree: the relay's
-    gateway host re-multicasts one channel onto it, and speakers attach
-    with ``add_speaker(channel, lan=leaf)``."""
+    gateway host re-multicasts one channel onto it, and speakers and
+    cohorts attach with ``lan=leaf``."""
 
     segment: EthernetSegment
     machine: Machine           # the relay's LAN gateway host
-    relay: RelayNode
-    channel: ChannelConfig
     name: str = ""
 
 
@@ -185,7 +195,11 @@ class EthernetSpeakerSystem:
         self.supervisors: List[Supervisor] = []
         self.relays: List[RelayNode] = []
         self.wan_hops: List[WanHop] = []
-        self.leaf_lans: List[LeafLan] = []
+        #: the frame topology: each node -> the nodes it feeds.  An origin
+        #: rebroadcaster or relay feeds WAN hops, a hop its relay, a relay
+        #: its leaf segments, and a segment its receivers (speaker nodes
+        #: and cohorts); see :meth:`weight`
+        self.feeds: Dict[object, list] = {self.lan: []}
         #: the dynamic control plane (ATDECC-style): controllers, entity
         #: advertisers, and management agents, all living on a dedicated
         #: out-of-band management segment (see :meth:`enable_management`)
@@ -329,9 +343,10 @@ class EthernetSpeakerSystem:
             speaker.start()
         node = SpeakerNode(
             machine=machine, speaker=speaker, sink=sink, device=device,
-            channel=channel, lan=segment,
+            channel=channel,
         )
         self.speakers.append(node)
+        self.feeds.setdefault(segment, []).append(node)
         return node
 
     def _segment_of(self, lan) -> EthernetSegment:
@@ -347,6 +362,7 @@ class EthernetSpeakerSystem:
         cpu_freq_hz: float = 233e6,
         block_seconds: float = 0.065,
         vlan: int = 1,
+        lan=None,
         **speaker_kwargs,
     ):
         """``members`` identical unity-gain speakers on ``channel``.
@@ -355,20 +371,23 @@ class EthernetSpeakerSystem:
         **one** delivery event per frame (see
         :class:`~repro.core.cohort.SpeakerCohort`); members that draw a
         divergent fate spill into full per-object speakers mid-stream.
+        ``lan`` (any LAN, a relay-tree leaf included) and
         ``speaker_kwargs`` are :meth:`add_speaker`'s, ``decode_cache`` and
         ``telemetry`` included.  The per-object fleet a cohort must match
         bit for bit lives in ``tests/oracles/fleet.py``.
         """
         name = name or f"cohort{len(self.cohorts)}"
+        segment = self._segment_of(lan)
         speaker_kwargs.setdefault("decode_cache", self.decode_cache)
         cohort = SpeakerCohort(
-            self.sim, self.lan, members, channel.group_ip, channel.port,
+            self.sim, segment, members, channel.group_ip, channel.port,
             ip=self._next_ip(), vlan=vlan, cpu_freq_hz=cpu_freq_hz,
             block_seconds=block_seconds, speaker_kwargs=speaker_kwargs,
             name=name, telemetry=self.telemetry,
         )
         cohort.channel = channel
         self.cohorts.append(cohort)
+        self.feeds.setdefault(segment, []).append(cohort)
         return cohort
 
     def inject_faults(self, link=None, name: str = "", **fault_kwargs
@@ -421,14 +440,15 @@ class EthernetSpeakerSystem:
     ) -> RelayNode:
         """A WAN relay fed by ``parent`` over a fresh uplink hop.
 
-        ``parent`` is the origin :class:`Rebroadcaster` (the packets are
-        teed off its send path, tandem-free) or another
-        :class:`~repro.net.wan.RelayNode` one tier up.  The hop's WAN
-        profile (``bandwidth_bps``/``latency``/``jitter``/``loss_rate``)
-        is per-hop; ``recovery`` picks the hop's loss-recovery ladder
-        (``"none"``/``"nack"``/``"fec"``/``"fec+nack"``) with the
-        ``fec_*`` knobs sizing the parity groups, ``fallback=True`` arms the local
-        filler source, and ``wan_faults=dict(...)`` attaches a dedicated
+        ``parent`` is any frame source with ``add_downlink(hop)``: the
+        origin :class:`Rebroadcaster` (the packets are teed off its send
+        path, tandem-free) or another :class:`~repro.net.wan.RelayNode`
+        one tier up.  The hop's WAN profile (``bandwidth_bps``/
+        ``latency``/``jitter``/``loss_rate``) is per-hop; ``recovery``
+        picks the hop's loss-recovery ladder (``"none"``/``"nack"``/
+        ``"fec"``/``"fec+nack"``) with the ``fec_*`` knobs sizing the
+        parity groups, ``fallback=True`` arms the local filler source,
+        and ``wan_faults=dict(...)`` attaches a dedicated
         seeded :class:`~repro.net.faults.FaultInjector` to the uplink
         (GE bursty loss, duplication, corruption, bounded reorder — the
         knobs of :meth:`inject_faults`), itemised per hop in
@@ -471,17 +491,11 @@ class EthernetSpeakerSystem:
             fec_k=fec_k, fec_r=fec_r, fec_interleave=fec_interleave,
             name=f"hop:{name}",
         )
-        hop.child = relay
         relay.uplink = hop
-        if isinstance(parent, Rebroadcaster):
-            parent.add_wan_tap(hop.send)
-        elif isinstance(parent, RelayNode):
-            parent.add_downlink(hop)
-        else:
-            raise TypeError(
-                f"relay parent must be a Rebroadcaster or RelayNode, "
-                f"not {parent!r}"
-            )
+        parent.add_downlink(hop)
+        self.feeds.setdefault(parent, []).append(hop)
+        self.feeds[hop] = [relay]
+        self.feeds[relay] = []
         self.relays.append(relay)
         self.wan_hops.append(hop)
         return relay
@@ -499,17 +513,18 @@ class EthernetSpeakerSystem:
         cpu_freq_hz: float = 500e6,
     ) -> LeafLan:
         """A LAN segment under ``relay``: the relay re-multicasts
-        ``channel`` onto it through a gateway host, and speakers attach
-        with ``add_speaker(channel, lan=leaf)``.  The leaf segment runs
+        ``channel`` onto it through a gateway host, and speakers and
+        cohorts attach with ``lan=leaf``.  The leaf segment runs
         the normal LAN protocol — WAN pathologies terminate at the
         relay, exactly as §6 terminates them at the rebroadcaster.
         """
-        name = name or f"leaf{len(self.leaf_lans)}"
+        name = name or f"leaf{len(self.lans) - 1}"
         segment = EthernetSegment(
             self.sim, bandwidth_bps=bandwidth_bps, latency=latency,
             jitter=jitter, loss_rate=loss_rate,
             seed=(seed if seed is not None
                   else self._seed + 501 + len(self.lans)),
+            name=name,
         )
         machine = Machine(self.sim, f"{name}-gw", cpu_freq_hz=cpu_freq_hz)
         machine.attach_network(segment, self._next_ip(), vlan=1)
@@ -520,25 +535,20 @@ class EthernetSpeakerSystem:
             _sock.sendto(bytes(wire), _dst)
 
         relay.attach_lan(channel.channel_id, egress)
-        leaf = LeafLan(segment=segment, machine=machine, relay=relay,
-                       channel=channel, name=name)
-        relay.leaf_lans.append(leaf)
         self.lans.append(segment)
-        self.leaf_lans.append(leaf)
-        return leaf
+        self.feeds[relay].append(segment)
+        self.feeds[segment] = []
+        return LeafLan(segment=segment, machine=machine, name=name)
 
-    def _subtree_speakers(self, relay: RelayNode) -> int:
-        """Speakers strictly below ``relay`` — the fan-out every frame
-        denied (or minted) at its uplink would have reached."""
-        total = 0
-        for leaf in relay.leaf_lans:
-            total += sum(
-                1 for n in self.speakers if n.lan is leaf.segment
-            )
-        for hop in relay.downlinks:
-            if hop.child is not None:
-                total += self._subtree_speakers(hop.child)
-        return total
+    def weight(self, node) -> int:
+        """Receivers at or below ``node`` in the frame graph: a speaker
+        node weighs 1 and a cohort its ``members``, so a relay weighs the
+        fan-out every frame denied (or minted) at its uplink would have
+        reached."""
+        below = self.feeds.get(node)
+        if below is None:
+            return node.members
+        return sum(self.weight(n) for n in below)
 
     # -- self-healing: standby, supervision, node faults -------------------------
 
@@ -960,22 +970,17 @@ class EthernetSpeakerSystem:
         ``sent == received + dropped``.
         """
         tel = self.telemetry
+        receivers = self.speakers + self.cohorts
         channels = []
         for channel in self.channels:
             rbs = [rb for rb in self.rebroadcasters
                    if rb.channel is channel]
-            nodes = [n for n in self.speakers if n.channel is channel]
-            cohorts = [c for c in self.cohorts if c.channel is channel]
-            if not rbs and not nodes and not cohorts:
+            tuned = [r for r in receivers if r.channel is channel]
+            if not rbs and not tuned:
                 continue
 
             def _members(field: str) -> int:
-                """Sum a SpeakerStats counter over per-object nodes and
-                every cohort member on this channel."""
-                return (
-                    sum(getattr(n.stats, field) for n in nodes)
-                    + sum(c.stat_sum(field) for c in cohorts)
-                )
+                return sum(r.stat_sum(field) for r in tuned)
 
             raw = sum(rb.stats.raw_bytes for rb in rbs)
             sent_bytes = sum(rb.stats.sent_payload_bytes for rb in rbs)
@@ -987,7 +992,7 @@ class EthernetSpeakerSystem:
             channels.append(ChannelReport(
                 name=channel.name,
                 channel_id=channel.channel_id,
-                speakers=len(nodes) + sum(c.members for c in cohorts),
+                speakers=sum(r.members for r in tuned),
                 data_sent=sum(rb.stats.data_sent for rb in rbs),
                 control_sent=sum(rb.stats.control_sent for rb in rbs),
                 send_failures=sum(rb.stats.send_failures for rb in rbs),
@@ -1000,10 +1005,7 @@ class EthernetSpeakerSystem:
                 decode_failed=_members("decode_failed"),
                 epoch_dropped=_members("epoch_dropped"),
                 socket_drops=_members("socket_data_drops"),
-                in_flight=(
-                    sum(n.speaker.pending_data for n in nodes)
-                    + sum(c.pending_data() for c in cohorts)
-                ),
+                in_flight=sum(r.pending_data() for r in tuned),
                 suspended_blocks=suspended,
                 compression_ratio=ratio,
             ))
@@ -1023,18 +1025,19 @@ class EthernetSpeakerSystem:
         for c in self.cohorts:
             for i in range(c.members):
                 all_gaps.extend(c.member_stats(i).rejoin_gaps)
-        # WAN relay tree: per-hop counters plus the subtree-scaled
-        # delivery budgets the conservation bound admits.  Each relay has
-        # exactly one uplink hop, so denials at the hop (wire loss,
-        # frames still in flight or parked in the resequencer) and at the
-        # relay itself (arrivals while crashed/hung) scale by the same
-        # subtree fan-out; retransmit duplicates and fallback filler are
-        # deliveries the origin never sent, scaled the same way.
+        # WAN relay tree: per-hop counters plus the delivery budgets the
+        # conservation bound admits, weighted by the receivers below each
+        # relay.  Each relay has exactly one uplink hop, so denials at the
+        # hop (wire loss, frames still in flight or parked in the
+        # resequencer) and at the relay itself (arrivals while
+        # crashed/hung) scale by the same weight; retransmit duplicates
+        # and fallback filler are deliveries the origin never sent,
+        # scaled the same way.
         wan_lost_deliveries = 0
         wan_extra_deliveries = 0
-        for hop in self.wan_hops:
-            relay = hop.child
-            subtree = self._subtree_speakers(relay) if relay else 0
+        for relay in self.relays:
+            hop = relay.uplink
+            subtree = self.weight(relay)
             faults = hop.link.faults
             # an injector's kills/corruptions deny at most one subtree of
             # deliveries each (corrupt frames may die at the hop parser,
@@ -1051,25 +1054,19 @@ class EthernetSpeakerSystem:
                 hop.link.lost + hop.link.in_flight + hop.pending
                 + hop.stats.stale_dropped + hop.stats.corrupt_dropped
                 + injected_lost + injected_corrupt
-                + (relay.stats.dropped_down if relay else 0)
+                + relay.stats.dropped_down
             )
             wan_extra_deliveries += subtree * (
                 hop.link.retransmits + injected_dup + hop.fec.repaired
-                + (relay.stats.filler_data if relay else 0)
+                + relay.stats.filler_data
             )
         return PipelineReport(
             duration=self.sim.now,
             latency=_snap("pipeline.e2e_latency"),
             arrival=_snap("pipeline.arrival_latency"),
             jitter=_snap("pipeline.jitter"),
-            underruns=(
-                sum(n.device.underruns for n in self.speakers)
-                + sum(c.underruns() for c in self.cohorts)
-            ),
-            silence_seconds=(
-                sum(n.sink.silence_seconds for n in self.speakers)
-                + sum(c.silence_seconds() for c in self.cohorts)
-            ),
+            underruns=sum(r.underruns() for r in receivers),
+            silence_seconds=sum(r.silence_seconds() for r in receivers),
             channels=channels,
             wire_drops=sum(l.stats.frames_dropped for l in self.lans),
             wire_losses=sum(l.stats.receiver_losses for l in self.lans),
@@ -1099,10 +1096,7 @@ class EthernetSpeakerSystem:
             failovers=sum(s.stats.takeovers for s in self.standbys),
             standdowns=sum(s.stats.standdowns for s in self.standbys),
             takeover_latency=_snap("failover.takeover_latency"),
-            epoch_resyncs=(
-                sum(n.stats.epoch_resyncs for n in self.speakers)
-                + sum(c.stat_sum("epoch_resyncs") for c in self.cohorts)
-            ),
+            epoch_resyncs=sum(r.stat_sum("epoch_resyncs") for r in receivers),
             rejoins=len(all_gaps),
             rejoin_gap=_snap("speaker.rejoin_gap"),
             max_rejoin_gap=max(all_gaps, default=0.0),

@@ -334,9 +334,6 @@ class WanHop:
         self.stats = WanHopStats()
         self.fec = FecStats()
         self._deliver_cb = deliver
-        #: the relay this hop feeds (set by the system builder; used for
-        #: subtree-scaled conservation budgets)
-        self.child = None
         # -- sender side (lives in the parent node's RAM) --
         self._ring: "OrderedDict[int, bytes]" = OrderedDict()
         self._tx_epoch: Optional[int] = None
@@ -679,7 +676,6 @@ class RelayNode:
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         self.telemetry.register("relay", name, self.stats)
         self.downlinks: List[WanHop] = []
-        self.leaf_lans: List = []           # LeafLan records (system glue)
         self.uplink: Optional[WanHop] = None
         self._lan_egress: Dict[int, List[Callable[[bytes], None]]] = {}
         self._cadence = CadenceMonitor(fallback_timeout)
@@ -697,9 +693,8 @@ class RelayNode:
 
     # -- wiring ----------------------------------------------------------------
 
-    def add_downlink(self, hop: WanHop) -> WanHop:
+    def add_downlink(self, hop: WanHop) -> None:
         self.downlinks.append(hop)
-        return hop
 
     def attach_lan(
         self, channel_id: int, egress: Callable[[bytes], None]

@@ -36,6 +36,7 @@ PIPELINE_FIELDS = (
     "injected_losses", "injected_duplicates", "injected_reordered",
     "injected_corrupted", "injected_pending", "failovers", "standdowns",
     "epoch_resyncs", "rejoins", "max_rejoin_gap",
+    "wan_lost_deliveries", "wan_extra_deliveries",
 )
 
 
@@ -57,6 +58,16 @@ def build(cohort, scenario, seed, crash_at=None, **speaker_kwargs):
     if scenario == "crash-failover":
         system.add_standby(producer, channel, takeover_timeout=1.0,
                            check_interval=0.2, control_interval=0.5)
+    if scenario.startswith("leaf-lan"):
+        # the fleet listens one (or two) lossy WAN relay tiers down, on a
+        # leaf LAN with its own bursty loss
+        relay = system.add_relay(rb, loss_rate=0.05)
+        if scenario == "leaf-lan-two-tiers":
+            relay = system.add_relay(relay, loss_rate=0.05)
+        leaf = system.add_leaf_lan(relay, channel)
+        system.inject_faults(link=leaf.segment, loss_rate=0.05,
+                             burst_length=3, seed=seed + 100)
+        speaker_kwargs["lan"] = leaf
     fleet = add_fleet(system, cohort, channel, MEMBERS, **speaker_kwargs)
     if scenario == "ge-loss-dup-reorder":
         system.inject_faults(loss_rate=0.05, burst_length=3,
@@ -109,13 +120,17 @@ def assert_ledgers_identical(report_a, report_b):
 @pytest.mark.parametrize("seed", [7, 23])
 @pytest.mark.parametrize("scenario", [
     "clean", "ge-loss-dup-reorder", "corruption", "crash-failover",
+    "leaf-lan", "leaf-lan-two-tiers",
 ])
 def test_cohort_matches_per_object_fleet(scenario, seed):
     sys_cohort, fleet_cohort = build(True, scenario, seed)
     sys_object, fleet_object = build(False, scenario, seed)
     assert_fleets_identical(fleet_cohort, fleet_object)
-    assert_ledgers_identical(sys_cohort.pipeline_report(),
-                             sys_object.pipeline_report())
+    report = sys_cohort.pipeline_report()
+    assert_ledgers_identical(report, sys_object.pipeline_report())
+    if scenario.startswith("leaf-lan"):
+        # the relays' loss budgets weigh the cohort's members
+        assert report.wan_lost_deliveries > 0
 
 
 @pytest.mark.parametrize("step", range(8))

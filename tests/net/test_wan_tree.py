@@ -164,6 +164,22 @@ def test_tree_determinism():
     assert fingerprint() == fingerprint()
 
 
+def test_frame_graph_weighs_receivers_below_each_node():
+    """The system's one frame graph: a speaker weighs 1 and a cohort its
+    members, wherever they sit, and leaf segments carry their names."""
+    s, _, _ = build_tree(tiers=2)
+    top, low = s.relays
+    ch = s.channels[0]
+    second = s.add_leaf_lan(top, ch)
+    cohort = s.add_speaker_cohort(ch, 5, lan=second)
+    s.add_speaker(channel=ch)  # on the system LAN: below no relay
+    assert s.feeds[top] == [low.uplink, second.segment]
+    assert s.feeds[second.segment] == [cohort]
+    assert (s.weight(low), s.weight(top), s.weight(top.uplink)) == (1, 6, 6)
+    assert s.weight(s.lan) == 1
+    assert [lan.name for lan in s.lans] == ["lan0", "leaf", "leaf1"]
+
+
 # -- reorder / loss recovery -----------------------------------------------------
 
 
