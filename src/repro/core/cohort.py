@@ -1,7 +1,7 @@
 """Speaker cohorts: N identical unity-gain receivers as one exemplar.
 
-``BENCH_fanout.json`` put the scaling wall at per-speaker Python-object
-and event cost.  A :class:`SpeakerCohort` removes it for the common case
+The fan-out benchmark (``benchmarks/test_fanout_scale.py``) put the
+scaling wall at per-speaker Python-object and event cost.  A :class:`SpeakerCohort` removes it for the common case
 — many speakers tuned to the same channel, all at unity gain, all seeing
 the same loss-free stream — by running **one** real exemplar
 :class:`~repro.core.speaker.EthernetSpeaker` on a private backplane
@@ -21,10 +21,11 @@ for a crash, at the fault instant), so every scalar the clone copies is
 exactly the state the per-object twin had at that instant.
 
 Fate draws stay scalar and in per-member order (see
-``FaultInjector._copy_fate`` and the segment/switch cohort loops), so a
-seeded cohort run consumes the wire RNG in exactly the sequence the
-per-object fleet does — the property the differential harness
-(``tests/core/test_cohort_differential.py``) asserts.
+``FaultInjector._copy_fate`` and ``repro.net.segment.fan_out``, the one
+fan-out loop every link runs), so a seeded cohort run consumes the wire
+RNG in exactly the sequence the per-object fleet does — the property the
+differential harness (``tests/core/test_cohort_differential.py``)
+asserts.
 """
 
 from __future__ import annotations
@@ -77,20 +78,15 @@ class _CohortBackplane:
 class CohortNic(Nic):
     """The cohort's one seat on the LAN.
 
-    Segment and switch delivery loops recognise the ``cohort`` attribute
-    and run the per-member fate loop instead of a single delivery; the
-    plain :meth:`deliver` fallback treats the frame as clean for every
-    member (used only by paths that bypass the cohort-aware loops, e.g.
-    an injector flush for a key that is not a member token).
+    It has no delivery of its own: ``repro.net.segment.fan_out``, which
+    both the segment and the switch run, recognises the ``cohort``
+    attribute and takes the per-member fate loop instead of a single
+    delivery.
     """
 
     def __init__(self, segment, ip: str, vlan: int, cohort: "SpeakerCohort"):
         super().__init__(segment, ip, vlan=vlan, name=f"{cohort.name}/nic")
         self.cohort = cohort
-
-    def deliver(self, dgram: Datagram) -> None:
-        self.rx_frames += 1
-        self.cohort._fallback_deliver(dgram)
 
 
 class CohortMember:
@@ -120,7 +116,7 @@ class CohortMember:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CohortMember {self.cohort.name}[{self.idx}] s={self.state}>"
 
-    # -- NIC duck type (what FaultInjector and the wire loops call) ---------
+    # -- NIC duck type (what FaultInjector and fan_out call) ----------------
 
     def deliver(self, dgram: Datagram) -> None:
         if self.state == SPILLED:
@@ -311,15 +307,6 @@ class SpeakerCohort:
     def _clean_rx(self, entry) -> None:
         self._inflight.popleft()
         self.exemplar.machine.net.nic.deliver(entry[2])
-
-    def _fallback_deliver(self, dgram: Datagram) -> None:
-        represented = 0
-        for tok in self.tokens:
-            if tok.state == ALIGNED:
-                represented += 1
-            else:
-                tok.deliver(dgram)
-        self.finish_frame(dgram, 0.0, represented)
 
     # -- exemplar-side machinery ---------------------------------------------
 

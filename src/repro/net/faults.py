@@ -263,13 +263,14 @@ class FaultInjector:
 
     def _copy_fate(self, nic, dgram: Datagram, delay: float) -> str:
         """Draw one receiver copy's fate; the RNG sequence is exactly
-        :meth:`deliver`'s, which is what lets a cohort run the loop per
-        member token and stay draw-for-draw identical to a per-object
-        fleet.  Returns ``"lost"`` (nothing survives), ``"handled"``
-        (divergent copies were scheduled or parked in here), or
-        ``"clean"`` — exactly one unjittered, uncorrupted, unheld copy at
-        the base delay, whose dispatch the *caller* owns (a plain link
-        dispatches it; a cohort folds it into the shared delivery)."""
+        :meth:`deliver`'s, which is what lets
+        :func:`~repro.net.segment.fan_out` run it per cohort member token
+        and stay draw-for-draw identical to a per-object fleet.  Returns
+        ``"lost"`` (nothing survives), ``"handled"`` (divergent copies
+        were scheduled or parked in here), or ``"clean"`` — exactly one
+        unjittered, uncorrupted, unheld copy at the base delay, whose
+        dispatch the *caller* owns (a plain link dispatches it; a cohort
+        folds it into the shared delivery)."""
         self.stats.offered += 1
         rng = self._rng
         if self.loss_rate and self._chain(nic).lose():
@@ -304,22 +305,6 @@ class FaultInjector:
             else:
                 self._dispatch(nic, copy, copy_delay)
         return "clean" if clean else "handled"
-
-    def deliver_cohort(self, cohort, dgram: Datagram, delay: float) -> None:
-        """Per-member fates for a whole cohort, one shared delivery for
-        the aligned survivors.  Member tokens are the chain/hold keys, so
-        burst phase and parked copies follow a member across its spill."""
-        represented = 0
-        for tok in cohort.tokens:
-            if tok.state == 0:  # ALIGNED
-                fate = self._copy_fate(tok, dgram, delay)
-                if fate == "clean":
-                    represented += 1
-                else:
-                    cohort.mark_divergent(tok, dgram, reason=fate)
-            else:
-                self.deliver(tok, dgram, delay)
-        cohort.finish_frame(dgram, delay, represented)
 
     # -- mechanics ----------------------------------------------------------------
 

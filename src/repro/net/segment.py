@@ -32,47 +32,70 @@ def deliver_batch(nics, dgram) -> None:
         nic.deliver(dgram)
 
 
-def transmit_cohort(link, cohort, dgram, base_delay: float) -> None:
-    """The per-member fate loop a cohort's seat on ``link`` (an
-    :class:`EthernetSegment` or a switch port) stands in for.
+def fan_out(link, dgram, seats, tel) -> None:
+    """Hand one frame to its receivers on ``link`` (an
+    :class:`EthernetSegment` or a switch), the one loop both links share.
 
-    Draw order per member is byte-identical to the links' per-receiver
-    loops (wire loss, then wire jitter, then the injector), so a seeded
-    cohort run and a per-object run consume the wire RNG in the same
-    sequence.  Members whose copy comes out clean share one delivery
-    event via ``finish_frame``; any other outcome diverges the member and
-    spills it at the exemplar's next boundary.
+    Each seat is a ``(receiver, base_delay)`` pair.  Every receiver copy
+    takes the wire-loss draw, then the jitter draw, then the injector's
+    fate, so the link's RNG is consumed in seat order.  A cohort seat (a
+    receiver with a ``cohort``) takes those draws once per member token:
+    aligned members whose copy comes out clean at the base delay share
+    the one delivery ``finish_frame`` schedules, and any other outcome
+    diverges the member, which spills at the exemplar's next boundary.
+    A seeded cohort run thus consumes the wire RNG in exactly the
+    sequence the per-object fleet does.
+
+    On a jitter-free link with no injector, plain receivers that share a
+    delivery time ride one scheduled event, after the loop; ``tel`` (a
+    telemetry registry, or None) records each such batch's size.
     """
     rng, loss_rate, jitter = link._rng, link.loss_rate, link.jitter
     faults, sim = link.faults, link.sim
-    represented = 0
-    for tok in cohort.tokens:
-        if loss_rate and rng.random() < loss_rate:
-            link.stats.receiver_losses += 1
-            if tok.state == 0:
-                cohort.mark_divergent(tok, dgram, reason="wire-loss")
-            continue
-        delay = base_delay
-        if jitter:
-            delay += rng.uniform(0.0, jitter)
-        if faults is not None:
-            if tok.state == 0 and delay == base_delay:
-                fate = faults._copy_fate(tok, dgram, delay)
-                if fate == "clean":
+    batching = faults is None and not jitter
+    #: delivery time -> plain receivers sharing it, in seat order
+    groups: Dict[float, List] = {}
+    for receiver, base_delay in seats:
+        cohort = getattr(receiver, "cohort", None)
+        represented = 0
+        for member in (receiver,) if cohort is None else cohort.tokens:
+            if loss_rate and rng.random() < loss_rate:
+                link.stats.receiver_losses += 1
+                if cohort is not None and member.state == 0:
+                    cohort.mark_divergent(member, dgram, reason="wire-loss")
+                continue
+            if batching and cohort is None:
+                groups.setdefault(base_delay, []).append(receiver)
+                continue
+            delay = base_delay
+            if jitter:
+                delay += rng.uniform(0.0, jitter)
+            if cohort is not None and member.state == 0:
+                if delay != base_delay:
+                    cohort.mark_divergent(member, dgram, reason="jitter")
+                elif faults is None:
                     represented += 1
+                    continue
                 else:
-                    cohort.mark_divergent(tok, dgram, reason=fate)
+                    fate = faults._copy_fate(member, dgram, delay)
+                    if fate == "clean":
+                        represented += 1
+                    else:
+                        cohort.mark_divergent(member, dgram, reason=fate)
+                    continue
+            if faults is not None:
+                faults.deliver(member, dgram, delay)
             else:
-                if tok.state == 0:
-                    cohort.mark_divergent(tok, dgram, reason="jitter")
-                faults.deliver(tok, dgram, delay)
-        elif tok.state == 0 and delay == base_delay:
-            represented += 1
+                sim.schedule_transient(delay, member.deliver, dgram)
+        if cohort is not None:
+            cohort.finish_frame(dgram, base_delay, represented)
+    for delay, nics in groups.items():
+        if len(nics) == 1:
+            sim.schedule_transient(delay, nics[0].deliver, dgram)
         else:
-            if tok.state == 0:
-                cohort.mark_divergent(tok, dgram, reason="jitter")
-            sim.schedule_transient(delay, tok.deliver, dgram)
-    cohort.finish_frame(dgram, base_delay, represented)
+            sim.schedule_transient(delay, deliver_batch, nics, dgram)
+        if tel is not None:
+            tel.observe("net.fanout_batch", len(nics), bounds=FANOUT_BOUNDS)
 
 
 @dataclass
@@ -224,42 +247,7 @@ class EthernetSegment:
         for tap in self._taps:
             tap(dgram)
         base_delay = done - now + self.latency
-        # jitter-free and uninjected, every receiver shares one delivery
-        # instant, so the whole fan-out rides one scheduled event; the
-        # loss draws happen in NIC order either way
-        batching = self.faults is None and not self.jitter
-        targets = []
-        for nic in self.receivers(dgram):
-            if nic is sender:
-                continue
-            cohort = getattr(nic, "cohort", None)
-            if cohort is not None:
-                transmit_cohort(self, cohort, dgram, base_delay)
-                continue
-            if self.loss_rate and self._rng.random() < self.loss_rate:
-                self.stats.receiver_losses += 1
-                continue
-            if batching:
-                targets.append(nic)
-                continue
-            delay = base_delay
-            if self.jitter:
-                delay += self._rng.uniform(0.0, self.jitter)
-            if self.faults is not None:
-                self.faults.deliver(nic, dgram, delay)
-            else:
-                self.sim.schedule_transient(delay, nic.deliver, dgram)
-        if targets:
-            if len(targets) == 1:
-                self.sim.schedule_transient(
-                    base_delay, targets[0].deliver, dgram
-                )
-            else:
-                self.sim.schedule_transient(
-                    base_delay, deliver_batch, targets, dgram
-                )
-            tel = self.sim.telemetry
-            if tel is not None:
-                tel.observe("net.fanout_batch", len(targets),
-                            bounds=FANOUT_BOUNDS)
+        seats = [(nic, base_delay) for nic in self.receivers(dgram)
+                 if nic is not sender]
+        fan_out(self, dgram, seats, self.sim.telemetry)
         return True

@@ -24,12 +24,7 @@ import numpy as np
 
 from repro.metrics.telemetry import get_telemetry
 from repro.net.addr import is_broadcast, is_multicast
-from repro.net.segment import (
-    Datagram,
-    FANOUT_BOUNDS,
-    deliver_batch,
-    transmit_cohort,
-)
+from repro.net.segment import Datagram, fan_out
 from repro.sim.core import Simulator
 
 
@@ -125,18 +120,10 @@ class SwitchedSegment:
 
         tel = self.telemetry
         tracer = tel.tracer
-        # one delivery event per (frame, shared delay) group instead of one
-        # per receiver port, unless jitter or a fault injector gives each
-        # copy its own fate
-        batching = self.faults is None and not self.jitter
-        #: delivery-time -> receivers sharing it (idle equal-speed ports
-        #: all land on one instant, so multicast fan-out usually builds a
-        #: single group); insertion order preserves per-receiver order
-        groups: Dict[float, List] = {}
-        #: a frame is refused (False) only when no selected port queued
-        #: it; a copy then lost on the wire is a receiver loss, as on
-        #: an EthernetSegment
-        queued = False
+        #: one seat per port that queued the frame; a frame is refused
+        #: (False) only when no selected port queued it, and a copy then
+        #: lost on the wire is a receiver loss, as on an EthernetSegment
+        seats = []
         for nic in receivers:
             queue = self._egress.get(id(nic))
             if queue is None:
@@ -152,7 +139,6 @@ class SwitchedSegment:
             out_start = max(in_done, queue[-1]) if queue else in_done
             out_done = out_start + tx_time
             queue.append(out_done)
-            queued = True
             if tel.enabled:
                 # one complete event per forwarded copy: queueing +
                 # serialisation on the egress port (the forward is
@@ -164,36 +150,13 @@ class SwitchedSegment:
                 self.stats.per_port_bytes_out.get(nic.name, 0)
                 + dgram.wire_size
             )
-            cohort = getattr(nic, "cohort", None)
-            if cohort is not None:
-                # the cohort's port: one egress serialisation (it is one
-                # drop cable), then the per-member fate loop in the same
-                # draw order the per-object loop below uses
-                delay = out_done - now + self.latency
-                transmit_cohort(self, cohort, dgram, delay)
-                continue
-            if self.loss_rate and self._rng.random() < self.loss_rate:
-                self.stats.receiver_losses += 1
-                continue
-            delay = out_done - now + self.latency
-            if batching:
-                groups.setdefault(delay, []).append(nic)
-                continue
-            if self.jitter:
-                delay += self._rng.uniform(0.0, self.jitter)
-            if self.faults is not None:
-                self.faults.deliver(nic, dgram, delay)
-            else:
-                self.sim.schedule_transient(delay, nic.deliver, dgram)
-        for delay, nics in groups.items():
-            if len(nics) == 1:
-                self.sim.schedule_transient(delay, nics[0].deliver, dgram)
-            else:
-                self.sim.schedule_transient(delay, deliver_batch, nics, dgram)
-            if tel.enabled:
-                tel.observe("net.fanout_batch", len(nics),
-                            bounds=FANOUT_BOUNDS)
-        return queued or not receivers
+            # a cohort's port is one drop cable: one egress serialisation,
+            # then fan_out's per-member fate loop
+            seats.append((nic, out_done - now + self.latency))
+        # idle equal-speed ports all land on one instant, so multicast
+        # fan-out usually rides a single delivery event
+        fan_out(self, dgram, seats, tel if tel.enabled else None)
+        return bool(seats) or not receivers
 
     # -- forwarding decision ------------------------------------------------------
 

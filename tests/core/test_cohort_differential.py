@@ -50,8 +50,17 @@ def add_fleet(system, cohort, channel, members, **speaker_kwargs):
 BLOCK_SECONDS = 0.065
 
 
+#: scenarios that make the fleet's own LAN lossy or jittery, so the
+#: cohort seat's per-member wire draws diverge members
+LAN_SCENARIOS = {
+    "lan-loss": {"loss_rate": 0.03},
+    "lan-jitter": {"jitter": 0.002},
+}
+
+
 def build(cohort, scenario, seed, crash_at=None, **speaker_kwargs):
-    system = EthernetSpeakerSystem(seed=seed)
+    system = EthernetSpeakerSystem(seed=seed,
+                                   **LAN_SCENARIOS.get(scenario, {}))
     producer = system.add_producer()
     channel = system.add_channel("hall", params=CD_QUALITY)
     rb = system.add_rebroadcaster(producer, channel, control_interval=0.5)
@@ -120,7 +129,7 @@ def assert_ledgers_identical(report_a, report_b):
 @pytest.mark.parametrize("seed", [7, 23])
 @pytest.mark.parametrize("scenario", [
     "clean", "ge-loss-dup-reorder", "corruption", "crash-failover",
-    "leaf-lan", "leaf-lan-two-tiers",
+    "leaf-lan", "leaf-lan-two-tiers", "lan-loss", "lan-jitter",
 ])
 def test_cohort_matches_per_object_fleet(scenario, seed):
     sys_cohort, fleet_cohort = build(True, scenario, seed)
@@ -131,6 +140,9 @@ def test_cohort_matches_per_object_fleet(scenario, seed):
     if scenario.startswith("leaf-lan"):
         # the relays' loss budgets weigh the cohort's members
         assert report.wan_lost_deliveries > 0
+    if scenario in LAN_SCENARIOS:
+        # the wire's own draws diverged members, which spilled
+        assert fleet_cohort.spills > 0
 
 
 @pytest.mark.parametrize("step", range(8))

@@ -12,6 +12,7 @@ fall back transparently; and the batch sizes show up in telemetry.
 import numpy as np
 import pytest
 
+from repro.core.cohort import CohortNic
 from repro.metrics.telemetry import Telemetry
 from repro.net import Datagram, EthernetSegment, Nic
 from repro.net.addr import wire_bytes
@@ -20,7 +21,31 @@ from repro.net.switch import SwitchedSegment
 from repro.sim import Simulator
 
 
-def build_lan(n_receivers, *, switched=False, telemetry=None, **kw):
+class StubCohort:
+    """A cohort seat's surface: member tokens that stay aligned, and a
+    log of each frame's delay and surviving member count."""
+
+    name = "seat"
+
+    def __init__(self, members):
+        self.tokens = [_Token() for _ in range(members)]
+        self.frames = []
+
+    def mark_divergent(self, tok, dgram, reason=""):
+        pass
+
+    def finish_frame(self, dgram, delay, represented):
+        self.frames.append((delay, represented))
+
+
+class _Token:
+    state = 0  # aligned
+
+
+def build_lan(n_receivers, *, switched=False, telemetry=None, seat=None,
+              **kw):
+    """A link with ``n_receivers`` NICs in the group; a ``seat`` (a
+    stub cohort) takes its port after the first half of them."""
     sim = Simulator()
     if telemetry is not None:
         sim.set_telemetry(telemetry)
@@ -30,6 +55,8 @@ def build_lan(n_receivers, *, switched=False, telemetry=None, **kw):
         link = EthernetSegment(sim, latency=0.0, **kw)
     arrivals = []
     for i in range(n_receivers):
+        if seat is not None and i == n_receivers // 2:
+            CohortNic(link, "10.0.0.200", 1, seat).join_group("239.1.1.1")
         nic = Nic(link, f"10.0.0.{i + 2}")
         nic.join_group("239.1.1.1")
         nic.rx_handler = (
@@ -53,12 +80,16 @@ def blast(sim, link, frames=20):
 
 
 def expected_arrivals(n_receivers, frames, *, switched=False,
-                      loss_rate=0.0, seed=0):
+                      loss_rate=0.0, seed=0, seat_members=0, seat_log=None):
     """Per-receiver arrivals, computed without a simulator: a frame sent
     at ``now`` lands ``now`` plus its wire time later (one serialisation
     on the shared segment, ingress then egress through the switch), at
     every receiver whose ``rng.random()`` loss draw, taken in NIC order,
-    spares it.  Frames are far enough apart that nothing queues."""
+    spares it.  Frames are far enough apart that nothing queues.
+
+    With ``seat_members``, the cohort seat after the first half of the
+    receivers takes one draw per member in its place in that order, and
+    each frame's ``(delay, surviving members)`` goes to ``seat_log``."""
     rng = np.random.default_rng(seed)
     wire = wire_bytes(PAYLOAD) * 8 / 100e6
     out = []
@@ -67,6 +98,12 @@ def expected_arrivals(n_receivers, frames, *, switched=False,
         done = now + wire + (wire if switched else 0.0)
         at = now + (done - now)
         for r in range(n_receivers):
+            if seat_members and r == n_receivers // 2:
+                survivors = sum(
+                    not (loss_rate and rng.random() < loss_rate)
+                    for _ in range(seat_members)
+                )
+                seat_log.append((done - now, survivors))
             if loss_rate and rng.random() < loss_rate:
                 continue
             out.append((at, f"10.0.0.{r + 2}", bytes([i]) * PAYLOAD))
@@ -84,13 +121,19 @@ def test_batched_arrivals_match_oracle(switched):
 @pytest.mark.parametrize("switched", [False, True])
 def test_batched_arrivals_match_oracle_under_seeded_loss(switched):
     # one loss draw per receiver in NIC order, exactly as a per-receiver
-    # loop would take them, so a seeded run loses the oracle's copies
-    sim, link, arrivals = build_lan(8, switched=switched,
+    # loop would take them, so a seeded run loses the oracle's copies; a
+    # cohort seat among the ports takes one draw per member in its place
+    seat = StubCohort(members=4)
+    sim, link, arrivals = build_lan(8, switched=switched, seat=seat,
                                     loss_rate=0.3, seed=42)
     blast(sim, link, frames=50)
+    seat_log = []
     assert arrivals == expected_arrivals(8, 50, switched=switched,
-                                         loss_rate=0.3, seed=42)
+                                         loss_rate=0.3, seed=42,
+                                         seat_members=4, seat_log=seat_log)
     assert 0 < len(arrivals) < 8 * 50
+    assert seat.frames == seat_log
+    assert 0 < sum(r for _, r in seat.frames) < 4 * 50
 
 
 def test_batching_executes_fewer_events():

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.cohort import CohortNic
 from repro.metrics.telemetry import Telemetry
 from repro.net.faults import FaultInjector, GilbertElliott
 from repro.net.segment import Datagram, EthernetSegment
@@ -326,7 +327,9 @@ class StubToken:
 
 
 class StubCohort:
-    """Just enough cohort surface for ``deliver_cohort``."""
+    """Just enough cohort surface for a cohort seat's fate loop."""
+
+    name = "seat"
 
     def __init__(self, sim, members):
         self.tokens = [StubToken(sim) for _ in range(members)]
@@ -339,6 +342,16 @@ class StubCohort:
         self.frames.append((dgram, delay, represented))
 
 
+def cohort_seat(sim, inj, members):
+    """A lossless segment whose one receiver is a cohort seat of
+    ``members`` stub tokens, with ``inj`` interposed on the link."""
+    lan = EthernetSegment(sim, latency=0.001)
+    cohort = StubCohort(sim, members)
+    CohortNic(lan, "10.0.0.9", 1, cohort).join_group("239.0.0.1")
+    inj.attach(lan)
+    return lan, cohort
+
+
 def test_detach_mid_cohort_batch_flushes_holds_exactly_once():
     """Detaching while member copies sit parked for reordering releases
     each held copy to its member token exactly once — no copy stranded,
@@ -347,10 +360,9 @@ def test_detach_mid_cohort_batch_flushes_holds_exactly_once():
     sim = Simulator()
     inj = FaultInjector(sim, reorder_rate=0.4, reorder_window=8,
                         reorder_hold=60.0, seed=6)
-    cohort = StubCohort(sim, members=5)
+    lan, cohort = cohort_seat(sim, inj, members=5)
     for i in range(12):
-        sim.schedule(i * 0.01, inj.deliver_cohort, cohort,
-                     make_dgram(i), 0.001)
+        sim.schedule(i * 0.01, lan.transmit, make_dgram(i))
     sim.run(until=0.2)
     st_before = replace(inj.stats)
     parked = inj.pending
@@ -383,10 +395,9 @@ def test_hold_timer_after_detach_flush_is_a_noop_for_member_holds():
     sim = Simulator()
     inj = FaultInjector(sim, reorder_rate=0.999, reorder_window=8,
                         reorder_hold=0.3, seed=6)
-    cohort = StubCohort(sim, members=2)
+    lan, cohort = cohort_seat(sim, inj, members=2)
     for i in range(6):
-        sim.schedule(i * 0.01, inj.deliver_cohort, cohort,
-                     make_dgram(i), 0.001)
+        sim.schedule(i * 0.01, lan.transmit, make_dgram(i))
     sim.run(until=0.1)
     parked = inj.pending
     assert parked > 0
