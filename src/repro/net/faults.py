@@ -43,7 +43,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.net.segment import Datagram
+from repro.net.segment import Datagram, deliver_alone
 
 
 @dataclass
@@ -239,7 +239,8 @@ class FaultInjector:
                 if not entry.released:
                     entry.released = True
                     flushed += 1
-                    self.sim.schedule_transient(0.0, nic.deliver, entry.dgram)
+                    self.sim.schedule_transient(0.0, deliver_alone,
+                                                self.sim, nic, entry.dgram)
             held.clear()
         self.stats.flushed += flushed
         return flushed
@@ -334,7 +335,8 @@ class FaultInjector:
             held.remove(entry)
 
     def _dispatch(self, nic, dgram: Datagram, delay: float) -> None:
-        self.sim.schedule(delay, nic.deliver, dgram)
+        sim = self.sim
+        sim.schedule_transient(delay, deliver_alone, sim, nic, dgram)
         held = self._held.get(nic)
         if not held:
             return
@@ -348,7 +350,8 @@ class FaultInjector:
             entry.remaining -= 1
             if entry.remaining <= 0:
                 entry.released = True
-                self.sim.schedule(delay + 1e-9, nic.deliver, entry.dgram)
+                sim.schedule_transient(delay + 1e-9, deliver_alone, sim,
+                                       nic, entry.dgram)
             else:
                 survivors.append(entry)
         self._held[nic] = survivors

@@ -67,6 +67,11 @@ class Simulator:
         #: (vmstat), so the event loop must not import metrics.
         self.telemetry = None
         self._batch_events = 0
+        #: True while a delivery scheduled as its own event runs
+        #: (:func:`repro.net.segment.deliver_alone`): the queue put that
+        #: wakes a reader there is the event's last action, so the wake
+        #: may run inline (:meth:`repro.sim.process.Process._put_wake`)
+        self._delivering = False
 
     def set_telemetry(self, telemetry) -> None:
         """Attach a telemetry registry; pass ``None`` (or a disabled
@@ -144,8 +149,10 @@ class Simulator:
     def step(self) -> bool:
         """Run the single earliest pending event.
 
-        Returns ``False`` when the queue is empty.
+        Returns ``False`` when the queue is empty.  Re-raises the first
+        unhandled process exception, as :meth:`run` does.
         """
+        ran = False
         while self._heap:
             time, _, fn, args, handle = heapq.heappop(self._heap)
             if handle is not None and handle.cancelled:
@@ -155,8 +162,11 @@ class Simulator:
                 self._record_step(time)
             self._now = time
             fn(*args)
-            return True
-        return False
+            ran = True
+            break
+        if self.unhandled:
+            raise self.unhandled[0]
+        return ran
 
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the queue drains or the clock passes ``until``.

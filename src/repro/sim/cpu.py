@@ -246,11 +246,17 @@ class CPU:
             return
         self.stats.jobs_completed += 1
         if self._run_queue and not self.sim.nothing_due_now():
-            if job.proc is not None:
-                job.proc._resume(None)
             # Defer the next dispatch one event so the woken process can
-            # submit its follow-on work first (run-until-block).
-            self.sim.schedule_transient(0.0, self._post_completion)
+            # submit its follow-on work first (run-until-block).  Its wake
+            # hop would sit directly before that dispatch, so nothing can
+            # run between them: one entry does both.
+            proc = job.proc
+            if proc is not None and proc.alive:
+                proc._clear_wait()
+                self.sim.schedule_transient(0.0, self._step_and_dispatch,
+                                            proc)
+            else:
+                self.sim.schedule_transient(0.0, self._post_completion)
             return
         # Either the wake hop and that dispatch would run next, in this
         # order, or the run queue is empty and the dispatch would find
@@ -258,6 +264,10 @@ class CPU:
         # once or wait behind a busy or halted CPU.
         if job.proc is not None:
             job.proc._wake(None)
+        self._post_completion()
+
+    def _step_and_dispatch(self, proc: Process) -> None:
+        proc._step(None, None)
         self._post_completion()
 
     def _post_completion(self) -> None:

@@ -183,6 +183,19 @@ class Process:
         else:
             self._resume(value, exc)
 
+    def _put_wake(self, value: Any) -> None:
+        """Hand a queue item to this blocked getter.  Inside a delivery
+        scheduled as its own event the put is that event's last action,
+        so the wake follows :meth:`_wake`'s rule; anywhere else (a batch
+        delivery, a running process) it hops.  The flag is cleared first:
+        puts the woken step makes are not the delivery's tail."""
+        sim = self.sim
+        if sim._delivering:
+            sim._delivering = False
+            self._wake(value)
+        else:
+            self._resume(value)
+
     def _clear_wait(self) -> None:
         if self._timeout_guard is not None:
             self._timeout_guard._cancel_timer()

@@ -87,8 +87,7 @@ class Queue:
         if self._closed:
             raise QueueClosed(self.name)
         if self._getters:
-            getter = self._getters.popleft()
-            getter.proc._resume(item)
+            self._getters.popleft().proc._put_wake(item)
             return True
         if self.capacity is not None and len(self._items) >= self.capacity:
             return False

@@ -1,15 +1,21 @@
 """Every scheduling hop queued: the simulator before wakes ran inline.
 
-The runtime skips two kinds of zero-delay queue entries.  A wake from a
+The runtime skips four kinds of zero-delay queue entries.  A wake from a
 timer or CPU-completion callback steps its process inline when nothing
 else is due at that instant, instead of queueing a ``Process._step``
-hop.  A finished CPU job queues no ``CPU._post_completion`` dispatch
-when the run queue is empty, and runs it inline when it would run next.
+hop; so does a reader woken by a delivery scheduled as its own event
+(``repro.net.segment.deliver_alone``), whose socket put is that event's
+last action.  A finished CPU job queues no ``CPU._post_completion``
+dispatch when the run queue is empty, and runs it inline when it would
+run next.  When the instant is busy, it queues one entry that steps the
+woken process and then dispatches, where the hop and the dispatch used
+to be two adjacent entries.
 
-:class:`HopOracle` puts the old behaviour back: every wake hops and
-every completion queues its dispatch.  It counts, as ``removable``,
-each entry the runtime would not have queued, so a differential test
-can require, for the same program::
+:class:`HopOracle` puts the old behaviour back: every wake hops, every
+completion queues its dispatch, and a busy completion queues the hop and
+the dispatch separately.  It counts, as ``removable``, each entry the
+runtime would not have queued, so a differential test can require, for
+the same program::
 
     oracle_sim.events_executed == runtime_sim.events_executed + removable
 
@@ -35,8 +41,10 @@ class HopOracle:
 
         The oracle's queue holds what the runtime's does plus skipped
         entries.  A skipped hop always runs next, before any predicate
-        is asked again, but a skipped dispatch for an empty run queue
-        can wait behind other entries due now; it does not count.
+        is asked again.  A skipped dispatch can wait behind other
+        entries due now (for an empty run queue) or behind its own hop
+        (a busy completion's, which the runtime runs in the hop's
+        entry); it does not count.
         """
         heap, now = sim._heap, sim.now
         if not heap or heap[0][0] > now:
@@ -75,9 +83,10 @@ class HopOracle:
         cpu.stats.jobs_completed += 1
         queued = bool(cpu._run_queue)
         skip = not queued or self.nothing_due_now(cpu.sim)
+        stepped = job.proc is not None and job.proc.alive
         if job.proc is not None:
             self._wake(job.proc, None)
-        if skip:
+        if skip or stepped:
             self.removable += 1
             self._posts += 1
             cpu.sim.schedule_transient(0.0, self._skipped_post, cpu, queued)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, SimError
+from repro.sim import Process, Simulator, SimError, Sleep
 
 
 def test_clock_starts_at_zero():
@@ -109,6 +109,25 @@ def test_step_returns_false_when_empty():
     sim.schedule(1.0, lambda: None)
     assert sim.step() is True
     assert sim.step() is False
+
+
+def test_step_reraises_a_process_crash():
+    """``step()`` surfaces an error no process waited for, as ``run()``
+    does, on the step that ran it and on every later one."""
+    sim = Simulator()
+
+    def body():
+        yield Sleep(1.0)
+        raise ValueError("boom")
+
+    Process.spawn(sim, body())
+    sim.schedule(2.0, lambda: None)
+    assert sim.step() is True  # the first step arms the sleep
+    with pytest.raises(ValueError, match="boom"):
+        sim.step()
+    assert sim.now == 1.0
+    with pytest.raises(ValueError, match="boom"):
+        sim.step()
 
 
 def test_pending_counts_live_events():

@@ -1,7 +1,9 @@
 """Inline wakes against the hop oracle: same run, fewer queue entries.
 
-The runtime steps a woken process inline when its hop would run next,
-and queues no CPU dispatch that would find nothing to do.
+The runtime steps a woken process inline when its hop would run next
+(after a timer, a CPU completion, or a delivery scheduled as its own
+event), queues no CPU dispatch that would find nothing to do, and folds
+a busy completion's hop and dispatch into one entry.
 ``tests/oracles/sim.py`` queues every hop and every dispatch, the way
 the simulator used to.  Both arms must run generated programs (and the
 composed telemetry scenario) identically: the same step log in virtual
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net import EthernetSegment, NetworkStack, Nic, wire_bytes
 from repro.sim import (
     CPU,
     Process,
@@ -25,22 +28,39 @@ from repro.sim import (
 )
 from tests.oracles.sim import HopOracle
 
-#: every delay and slice is a multiple of 1/4096 s, so float sums are
-#: exact and many wakes land on an instant something else is due at
+#: every delay, slice and wire time is a multiple of 1/4096 s, so float
+#: sums are exact and many wakes land on an instant something else is
+#: due at
 TICK = 1 / 1024
+#: datagrams carry "p<n>:<op>" (4 bytes); the LAN puts one on the wire
+#: in exactly one TICK
+PAYLOAD = 4
+GROUP, PORT = "239.1.1.1", 5004
 FREQ = 64 * 1024
 DELAYS = st.sampled_from([0, 0, 1, 2, 3, 5]).map(lambda n: n * TICK)
 CYCLES = st.sampled_from([0, 16, 64, 128, 320])  # up to 2.5 quanta
 DOMAINS = st.sampled_from(["user", "sys", "intr"])
 OWNERS = st.sampled_from([None, "intr", "shared"])
 
+RUN = st.tuples(st.just("run"), st.integers(0, 2), CYCLES, DOMAINS, OWNERS)
+RECV = st.tuples(st.just("recv"), st.integers(0, 1), st.none() | DELAYS)
+#: ``run`` and ``recv`` are drawn twice as often: a busy completion
+#: needs two jobs on one CPU, and an inline delivery a blocked reader
 OPS = st.one_of(
     st.tuples(st.just("sleep"), DELAYS),
-    st.tuples(st.just("run"), st.integers(0, 2), CYCLES, DOMAINS, OWNERS),
+    RUN,
+    RUN,
     st.tuples(st.just("charge"), st.integers(0, 2), CYCLES, DOMAINS,
               OWNERS),
     st.tuples(st.just("get"), st.integers(0, 1), st.none() | DELAYS),
     st.tuples(st.just("put"), st.integers(0, 1), st.none() | DELAYS),
+    # a socket reader, blocked in recv() with or without a Timeout
+    RECV,
+    RECV,
+    # one reader's copy: a delivery scheduled as its own event
+    st.tuples(st.just("unicast"), st.integers(0, 1)),
+    # both readers' copies in one deliver_batch event
+    st.tuples(st.just("multicast")),
 )
 CONTROLS = st.tuples(
     st.integers(0, 24).map(lambda n: n * TICK),
@@ -49,17 +69,37 @@ CONTROLS = st.tuples(
 )
 PROGRAMS = st.fixed_dictionaries({
     "cpus": st.integers(1, 3),
+    # with free switches, completions land on whole ticks with the rest
+    "switch_cost": st.sampled_from([0.0, TICK / 4]),
     "procs": st.lists(st.lists(OPS, max_size=8), min_size=1, max_size=4),
     "controls": st.lists(CONTROLS, max_size=5),
 })
 
 
+IPS = ("10.0.0.1", "10.0.0.2")
+
+
+def make_lan(sim):
+    """Two readers' sockets (both in ``GROUP``, one datagram of room
+    each) and a sender's, on one jitter-free LAN with no injector."""
+    lan = EthernetSegment(sim, bandwidth_bps=wire_bytes(PAYLOAD) * 8 / TICK,
+                          latency=TICK)
+    socks = []
+    for ip in IPS:
+        sock = NetworkStack(sim, Nic(lan, ip)).socket(PORT, rx_capacity=1)
+        sock.join_multicast(GROUP)
+        socks.append(sock)
+    return socks, NetworkStack(sim, Nic(lan, "10.0.0.9")).socket()
+
+
 def run_program(program):
     """Run ``program`` on a fresh simulator; return what it observed."""
     sim = Simulator()
-    cpus = [CPU(sim, freq_hz=FREQ, quantum=2 * TICK, switch_cost=TICK / 4,
-                name=f"cpu{i}") for i in range(program["cpus"])]
+    cpus = [CPU(sim, freq_hz=FREQ, quantum=2 * TICK,
+                switch_cost=program["switch_cost"], name=f"cpu{i}")
+            for i in range(program["cpus"])]
     queues = [Queue(capacity=1, name=f"q{i}") for i in range(2)]
+    socks, sender = make_lan(sim)
     log = []
 
     def body(name, ops):
@@ -77,6 +117,15 @@ def run_program(program):
                     cpus[c % len(cpus)].charge(cycles, domain,
                                                owner or "intr")
                     value = "charged"
+                elif kind == "recv":
+                    wait = socks[op[1]].recv()
+                    if op[2] is not None:
+                        wait = Timeout(wait, op[2])
+                    value = (yield wait).payload
+                elif kind in ("unicast", "multicast"):
+                    dst = IPS[op[1]] if kind == "unicast" else GROUP
+                    value = sender.sendto(f"{name}:{i}".encode(),
+                                          (dst, PORT))
                 else:
                     q = queues[op[1]]
                     wait = q.get() if kind == "get" else q.put((name, i))
@@ -102,6 +151,7 @@ def run_program(program):
     sim.run()
     return sim, {
         "log": log,
+        "drops": [sock.drops for sock in socks],
         "cpus": [cpu.stats.snapshot() for cpu in cpus],
         "now": sim.now,
         "procs": [(p.alive, p.result, repr(p.exception)) for p in procs],
@@ -169,6 +219,69 @@ def test_a_busy_instant_keeps_the_hop():
     (new_sim, _), (old_sim, _), oracle = both_arms(program)
     assert order == ["a", "b", "a", "b"]
     assert new_sim.events_executed == old_sim.events_executed == 6
+    assert oracle.removable == 0
+
+
+def test_a_busy_completion_is_one_entry():
+    """``a`` and ``b`` share a CPU and ``c`` wakes just as ``a``'s job
+    ends.  The oracle queues ``a``'s hop and the dispatch of ``b``'s
+    job as two adjacent entries; the runtime queues one.  ``b``'s lone
+    completion then runs its wake and dispatch inline."""
+    order = []
+
+    def program():
+        sim = Simulator()
+        cpu = CPU(sim, freq_hz=FREQ, switch_cost=0.0)
+
+        def worker(name):
+            yield cpu.run(64)
+            order.append((name, sim.now))
+
+        def sleeper():
+            yield Sleep(TICK)
+            order.append(("c", sim.now))
+
+        Process.spawn(sim, worker("a"))
+        Process.spawn(sim, worker("b"))
+        Process.spawn(sim, sleeper())
+        sim.run()
+        return sim, cpu.stats.snapshot()
+
+    (new_sim, new), (old_sim, old), oracle = both_arms(program)
+    assert new == old
+    assert order == [("a", TICK), ("c", TICK), ("b", 2 * TICK)] * 2
+    assert (new_sim.events_executed, oracle.removable) == (8, 3)
+    assert old_sim.events_executed == 11
+
+
+def test_a_lone_delivery_wakes_its_reader_inline():
+    """A unicast copy is its own event: the reader blocked in recv()
+    steps inside it.  A multicast copy to both readers rides one
+    deliver_batch event, and each reader it wakes keeps its hop."""
+    got = []
+
+    def program(dst):
+        sim = Simulator()
+        socks, sender = make_lan(sim)
+
+        def reader(sock):
+            got.append(((yield sock.recv()).payload, sim.now))
+
+        for sock in socks:
+            Process.spawn(sim, reader(sock))
+        sender.sendto(b"ping", (dst, PORT))
+        sim.run()
+        return sim, sim.now
+
+    (new_sim, _), (old_sim, _), oracle = both_arms(lambda: program(IPS[0]))
+    assert got == [(b"ping", 2 * TICK)] * 2
+    assert (new_sim.events_executed, oracle.removable) == (3, 1)
+    assert old_sim.events_executed == 4
+
+    got.clear()
+    (new_sim, _), (old_sim, _), oracle = both_arms(lambda: program(GROUP))
+    assert got == [(b"ping", 2 * TICK)] * 4
+    assert new_sim.events_executed == old_sim.events_executed == 5
     assert oracle.removable == 0
 
 
