@@ -20,7 +20,7 @@ fails here even when it stays inside the 25 %.  The baseline's
 the two do not divide into each other; at the headline rate the exact
 ``events_executed`` check already pins events per op, and the 25 % gate
 cannot fail there on its own.  The headline run under the hop oracle
-(``tests/oracles/sim.py``: every wake and CPU dispatch queued) must
+(``tests/oracles/sim.py``: every hop and CPU dispatch queued) must
 execute exactly the baseline's ``hop_oracle_events_executed`` and match
 its other exact counts.
 """

@@ -5,7 +5,8 @@ Speakers" (§2.3): the wire cost of a multicast stream is independent of the
 audience size.  The simulator's *host* cost was not — every speaker decoded
 every block privately and every receiver copy was its own heap event.  The
 fan-out fast path (shared-decode cache + zero-copy parsing + batched
-delivery + wakes that run inline instead of queueing a hop) makes host
+delivery + zero-delay hops run from the event loop's next-entry slot
+instead of the queue) makes host
 wall-clock scale like the wire.
 
 This benchmark sweeps speakers × stream-seconds and emits
@@ -15,7 +16,7 @@ simulator events and play exactly the blocks recorded in the committed
 baseline (``benchmarks/BENCH_fanout_baseline.json``, ``headline.fast``).
 An extra event per frame or receiver copy is a fan-out regression; a
 missing block is a behaviour change.  The same point run under the hop
-oracle (``tests/oracles/sim.py``: every wake and CPU dispatch queued)
+oracle (``tests/oracles/sim.py``: every hop and CPU dispatch queued)
 must execute exactly the baseline's ``hop_oracle_events_executed`` and
 play the same blocks.
 """

@@ -38,7 +38,7 @@ from repro.core.speaker import EthernetSpeaker
 from repro.kernel.audio import AudioDevice, HardwareAudioDriver, SpeakerSink
 from repro.kernel.machine import Machine
 from repro.net.nic import Nic
-from repro.net.segment import Datagram, deliver_alone
+from repro.net.segment import Datagram
 
 #: member token states
 ALIGNED = 0    # represented by the exemplar
@@ -504,8 +504,8 @@ class SpeakerCohort:
             for frame, at, dgram in self._inflight:
                 if barrier_f is not None and frame >= barrier_f:
                     continue
-                sim.schedule_transient(max(0.0, at - now), deliver_alone,
-                                       sim, machine.net.nic, dgram)
+                sim.schedule_transient(max(0.0, at - now),
+                                       machine.net.nic.deliver, dgram)
         if crashed:
             clone._crashed = True
             clone._begin_outage_gap()

@@ -43,7 +43,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.net.segment import Datagram, deliver_alone
+from repro.net.segment import Datagram
 
 
 @dataclass
@@ -239,8 +239,8 @@ class FaultInjector:
                 if not entry.released:
                     entry.released = True
                     flushed += 1
-                    self.sim.schedule_transient(0.0, deliver_alone,
-                                                self.sim, nic, entry.dgram)
+                    self.sim.schedule_transient(0.0, nic.deliver,
+                                                entry.dgram)
             held.clear()
         self.stats.flushed += flushed
         return flushed
@@ -336,7 +336,7 @@ class FaultInjector:
 
     def _dispatch(self, nic, dgram: Datagram, delay: float) -> None:
         sim = self.sim
-        sim.schedule_transient(delay, deliver_alone, sim, nic, dgram)
+        sim.schedule_transient(delay, nic.deliver, dgram)
         held = self._held.get(nic)
         if not held:
             return
@@ -350,8 +350,8 @@ class FaultInjector:
             entry.remaining -= 1
             if entry.remaining <= 0:
                 entry.released = True
-                sim.schedule_transient(delay + 1e-9, deliver_alone, sim,
-                                       nic, entry.dgram)
+                sim.schedule_transient(delay + 1e-9, nic.deliver,
+                                       entry.dgram)
             else:
                 survivors.append(entry)
         self._held[nic] = survivors

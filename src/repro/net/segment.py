@@ -27,25 +27,11 @@ FANOUT_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 def deliver_batch(nics, dgram) -> None:
     """One scheduled event fanning a frame out to every receiver that
-    shares the same delivery time (the multicast fast path).  Every
-    reader it wakes hops: the next receiver's delivery follows."""
+    shares the same delivery time (the multicast fast path).  A reader
+    woken by one receiver's copy runs after the batch, from the loop's
+    next-entry slot or the queue, never between two copies."""
     for nic in nics:
         nic.deliver(dgram)
-
-
-def deliver_alone(sim, receiver, dgram) -> None:
-    """One receiver copy scheduled as its own event.  ``Nic.deliver``
-    ends in at most one socket put and nothing in the event follows it,
-    so a reader that put wakes steps inline when nothing else is due
-    now, as its hop would run next
-    (:meth:`~repro.sim.process.Process._put_wake`).  A receiver that
-    does more after its put (the cohort exemplar's instrumented socket)
-    is scheduled directly instead."""
-    sim._delivering = True
-    try:
-        receiver.deliver(dgram)
-    finally:
-        sim._delivering = False
 
 
 def fan_out(link, dgram, seats, tel) -> None:
@@ -63,8 +49,10 @@ def fan_out(link, dgram, seats, tel) -> None:
     sequence the per-object fleet does.
 
     On a jitter-free link with no injector, plain receivers that share a
-    delivery time ride one scheduled event, after the loop; ``tel`` (a
-    telemetry registry, or None) records each such batch's size.
+    delivery time ride one scheduled :func:`deliver_batch` event, after
+    the loop; ``tel`` (a telemetry registry, or None) records each such
+    batch's size (a batch of one is a plain ``Nic.deliver`` event, as is
+    every other copy).
     """
     rng, loss_rate, jitter = link._rng, link.loss_rate, link.jitter
     faults, sim = link.faults, link.sim
@@ -102,13 +90,12 @@ def fan_out(link, dgram, seats, tel) -> None:
             if faults is not None:
                 faults.deliver(member, dgram, delay)
             else:
-                sim.schedule_transient(delay, deliver_alone, sim, member,
-                                       dgram)
+                sim.schedule_transient(delay, member.deliver, dgram)
         if cohort is not None:
             cohort.finish_frame(dgram, base_delay, represented)
     for delay, nics in groups.items():
         if len(nics) == 1:
-            sim.schedule_transient(delay, deliver_alone, sim, nics[0], dgram)
+            sim.schedule_transient(delay, nics[0].deliver, dgram)
         else:
             sim.schedule_transient(delay, deliver_batch, nics, dgram)
         if tel is not None:

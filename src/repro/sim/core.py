@@ -67,11 +67,9 @@ class Simulator:
         #: (vmstat), so the event loop must not import metrics.
         self.telemetry = None
         self._batch_events = 0
-        #: True while a delivery scheduled as its own event runs
-        #: (:func:`repro.net.segment.deliver_alone`): the queue put that
-        #: wakes a reader there is the event's last action, so the wake
-        #: may run inline (:meth:`repro.sim.process.Process._put_wake`)
-        self._delivering = False
+        #: ``(fn, args)`` of the entry that runs next, or None: see
+        #: :meth:`schedule_transient`
+        self._next: Optional[tuple] = None
 
     def set_telemetry(self, telemetry) -> None:
         """Attach a telemetry registry; pass ``None`` (or a disabled
@@ -107,17 +105,15 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
-    def nothing_due_now(self) -> bool:
-        """True when no queued entry is due now: a zero-delay entry
-        scheduled now would run next, so it may as well run inline."""
-        heap = self._heap
-        return not heap or heap[0][0] > self._now
-
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if not 0.0 <= delay < _INF:
+        time = self._now + delay
+        if not (0.0 <= delay and time < _INF):
             raise SimError(f"delay must be finite and >= 0: {delay}")
-        return self.schedule_at(self._now + delay, fn, *args)
+        self._seq += 1
+        ev = Event()
+        heapq.heappush(self._heap, (time, self._seq, fn, args, ev))
+        return ev
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual ``time``."""
@@ -135,25 +131,38 @@ class Simulator:
         The hot-path variant of :meth:`schedule` for fire-and-forget work
         (packet deliveries, process wakeups, CPU slice completions): the
         queue entry is the only object made.
+
+        A zero-delay entry made when nothing is queued for now would be
+        the next one popped: nothing queued before it is due, and
+        everything queued after it gets a larger seq.  It goes into the
+        next-entry slot instead of the heap, and runs as soon as the
+        callback that made it returns, as part of that callback's event.
         """
-        if not 0.0 <= delay < _INF:
+        if delay == 0.0:
+            if self._next is None:
+                heap = self._heap
+                if not heap or heap[0][0] > self._now:
+                    self._next = (fn, args)
+                    return
+        elif not 0.0 < delay < _INF:
             raise SimError(f"delay must be finite and >= 0: {delay}")
         self._seq += 1
-        time = self._now + delay
-        heapq.heappush(self._heap, (time, self._seq, fn, args, None))
+        heapq.heappush(self._heap,
+                       (self._now + delay, self._seq, fn, args, None))
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event.  Cancelling twice is harmless."""
         event.cancelled = True
 
     def step(self) -> bool:
-        """Run the single earliest pending event.
+        """Run the single earliest pending event (or the next-entry slot
+        filled outside the loop), then the entries it puts in the slot.
 
         Returns ``False`` when the queue is empty.  Re-raises the first
         unhandled process exception, as :meth:`run` does.
         """
-        ran = False
-        while self._heap:
+        ran = self._next is not None
+        while not ran and self._heap:
             time, _, fn, args, handle = heapq.heappop(self._heap)
             if handle is not None and handle.cancelled:
                 continue
@@ -163,7 +172,10 @@ class Simulator:
             self._now = time
             fn(*args)
             ran = True
-            break
+        while self._next is not None and not self.unhandled:
+            fn, args = self._next
+            self._next = None
+            fn(*args)
         if self.unhandled:
             raise self.unhandled[0]
         return ran
@@ -178,7 +190,10 @@ class Simulator:
         """
         heap = self._heap
         pop = heapq.heappop
+        unhandled = self.unhandled
         limit = _INF if until is None else until
+        if self._next is not None and self._now <= limit:
+            self.step()
         while heap:
             time, seq, fn, args, handle = pop(heap)
             if handle is not None and handle.cancelled:
@@ -191,15 +206,24 @@ class Simulator:
                 self._record_step(time)
             self._now = time
             fn(*args)
-            if self.unhandled:
-                raise self.unhandled[0]
+            if unhandled:
+                raise unhandled[0]
+            nxt = self._next
+            while nxt is not None:
+                self._next = None
+                nxt[0](*nxt[1])
+                if unhandled:
+                    raise unhandled[0]
+                nxt = self._next
         if until is not None and until > self._now:
             self._now = until
-        if self.unhandled:
-            raise self.unhandled[0]
+        if unhandled:
+            raise unhandled[0]
         return self._now
 
     def pending(self) -> int:
-        """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for entry in self._heap
-                   if entry[4] is None or not entry[4].cancelled)
+        """Number of not-yet-cancelled events in the queue, the
+        next-entry slot's included."""
+        return (self._next is not None) + sum(
+            1 for entry in self._heap
+            if entry[4] is None or not entry[4].cancelled)

@@ -100,8 +100,13 @@ class CPU:
         switch_cost: float = 20e-6,
         name: str = "cpu0",
     ):
-        if freq_hz <= 0:
-            raise SimError("cpu frequency must be positive")
+        # a zero quantum would never finish a job, and a bad value would
+        # otherwise surface only at the first dispatch, or never
+        if not (0.0 < freq_hz < math.inf and 0.0 < quantum < math.inf
+                and 0.0 <= switch_cost < math.inf):
+            raise SimError(
+                f"cpu needs finite freq_hz > 0, quantum > 0 and "
+                f"switch_cost >= 0: {freq_hz}, {quantum}, {switch_cost}")
         self.sim = sim
         self.freq_hz = float(freq_hz)
         self.quantum = quantum
@@ -245,26 +250,18 @@ class CPU:
             self._dispatch()
             return
         self.stats.jobs_completed += 1
-        if self._run_queue and not self.sim.nothing_due_now():
-            # Defer the next dispatch one event so the woken process can
-            # submit its follow-on work first (run-until-block).  Its wake
-            # hop would sit directly before that dispatch, so nothing can
-            # run between them: one entry does both.
-            proc = job.proc
-            if proc is not None and proc.alive:
-                proc._clear_wait()
-                self.sim.schedule_transient(0.0, self._step_and_dispatch,
-                                            proc)
-            else:
-                self.sim.schedule_transient(0.0, self._post_completion)
-            return
-        # Either the wake hop and that dispatch would run next, in this
-        # order, or the run queue is empty and the dispatch would find
-        # nothing to do: a job submitted before it ran would dispatch at
-        # once or wait behind a busy or halted CPU.
-        if job.proc is not None:
-            job.proc._wake(None)
-        self._post_completion()
+        # Defer the next dispatch one entry so the woken process can
+        # submit its follow-on work first (run-until-block).  Nothing can
+        # run between its wake hop and that dispatch, so one entry does
+        # both.  With nobody to wake and an empty run queue the dispatch
+        # would find nothing to do: a job submitted before it ran would
+        # dispatch at once or wait behind a busy or halted CPU.
+        proc = job.proc
+        if proc is not None and proc.alive:
+            proc._clear_wait()
+            self.sim.schedule_transient(0.0, self._step_and_dispatch, proc)
+        elif self._run_queue:
+            self.sim.schedule_transient(0.0, self._post_completion)
 
     def _step_and_dispatch(self, proc: Process) -> None:
         proc._step(None, None)

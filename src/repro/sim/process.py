@@ -54,7 +54,7 @@ class Sleep(Waitable):
         self._event = None
 
     def _arm(self, proc: "Process") -> None:
-        self._event = proc.sim.schedule(self.duration, proc._wake, None)
+        self._event = proc.sim.schedule(self.duration, proc._resume, None)
 
     def _disarm(self, proc: "Process") -> bool:
         if self._event is not None:
@@ -112,7 +112,7 @@ class Timeout(Waitable):
                 f"{self.inner!r} does not support timeouts (_disarm failed)"
             )
         proc._timeout_guard = None
-        proc._wake(None, TimeoutError(f"timed out after {self.duration}s"))
+        proc._resume(None, TimeoutError(f"timed out after {self.duration}s"))
 
     def _cancel_timer(self) -> None:
         if self._event is not None:
@@ -163,7 +163,8 @@ class Process:
 
     def _resume(self, value: Any, exc: Optional[BaseException] = None):
         """Resume the generator with ``value`` (or by raising ``exc`` in
-        it) at this instant, via a zero-delay hop through the loop."""
+        it) at this instant, via a zero-delay hop through the loop (the
+        next-entry slot, when nothing else is due now)."""
         if not self.alive:
             return
         self._clear_wait()
@@ -172,29 +173,6 @@ class Process:
     def _throw(self, exc: BaseException) -> None:
         """Resume the generator by raising ``exc`` inside it."""
         self._resume(None, exc)
-
-    def _wake(self, value: Any, exc: Optional[BaseException] = None):
-        """:meth:`_resume` from a timer or CPU-completion callback that
-        queues nothing after it.  When nothing else is due at this instant
-        the hop would run next, so the step runs inline instead."""
-        if self.alive and self.sim.nothing_due_now():
-            self._clear_wait()
-            self._step(value, exc)
-        else:
-            self._resume(value, exc)
-
-    def _put_wake(self, value: Any) -> None:
-        """Hand a queue item to this blocked getter.  Inside a delivery
-        scheduled as its own event the put is that event's last action,
-        so the wake follows :meth:`_wake`'s rule; anywhere else (a batch
-        delivery, a running process) it hops.  The flag is cleared first:
-        puts the woken step makes are not the delivery's tail."""
-        sim = self.sim
-        if sim._delivering:
-            sim._delivering = False
-            self._wake(value)
-        else:
-            self._resume(value)
 
     def _clear_wait(self) -> None:
         if self._timeout_guard is not None:

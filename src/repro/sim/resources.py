@@ -87,7 +87,7 @@ class Queue:
         if self._closed:
             raise QueueClosed(self.name)
         if self._getters:
-            self._getters.popleft().proc._put_wake(item)
+            self._getters.popleft().proc._resume(item)
             return True
         if self.capacity is not None and len(self._items) >= self.capacity:
             return False

@@ -1,21 +1,19 @@
-"""Every scheduling hop queued: the simulator before wakes ran inline.
+"""Every scheduling hop queued: the simulator before its next-entry slot.
 
-The runtime skips four kinds of zero-delay queue entries.  A wake from a
-timer or CPU-completion callback steps its process inline when nothing
-else is due at that instant, instead of queueing a ``Process._step``
-hop; so does a reader woken by a delivery scheduled as its own event
-(``repro.net.segment.deliver_alone``), whose socket put is that event's
-last action.  A finished CPU job queues no ``CPU._post_completion``
-dispatch when the run queue is empty, and runs it inline when it would
-run next.  When the instant is busy, it queues one entry that steps the
-woken process and then dispatches, where the hop and the dispatch used
-to be two adjacent entries.
+The runtime skips two kinds of zero-delay queue entries.  A zero-delay
+``schedule_transient`` made while nothing is queued for the current
+instant goes into ``Simulator``'s next-entry slot and runs as soon as
+the callback that made it returns, instead of being pushed and popped
+as its own event.  And a finished CPU job queues at most one entry: a
+job whose process is alive queues one entry that steps the process and
+then dispatches, and any other job queues the dispatch only when the
+run queue holds work.
 
-:class:`HopOracle` puts the old behaviour back: every wake hops, every
-completion queues its dispatch, and a busy completion queues the hop and
-the dispatch separately.  It counts, as ``removable``, each entry the
-runtime would not have queued, so a differential test can require, for
-the same program::
+:class:`HopOracle` puts the old behaviour back: no slot, and every
+finished job queues its process's wake hop and then a
+``CPU._post_completion`` dispatch, two adjacent entries.  It counts, as
+``removable``, each slot fill and each dispatch the runtime merges or
+skips, so a differential test can require, for the same program::
 
     oracle_sim.events_executed == runtime_sim.events_executed + removable
 
@@ -25,49 +23,58 @@ Install it with ``monkeypatch``; it then applies to every simulator::
     oracle.install(monkeypatch)
 """
 
+import heapq
+import math
+import weakref
+
+from repro.sim.core import SimError, Simulator
 from repro.sim.cpu import CPU
-from repro.sim.process import Process
 
 
 class HopOracle:
     def __init__(self):
-        #: queued entries the runtime would have skipped
+        #: queued entries the runtime would not have queued
         self.removable = 0
-        #: skipped dispatches still in the queue
-        self._posts = 0
+        #: simulators made while installed.  Only theirs count: a
+        #: process generator finalised by the garbage collector during
+        #: a run (``finally: sock.close()``) can queue a wake on the
+        #: unreachable simulator of an earlier run.
+        self._sims = weakref.WeakSet()
 
-    def nothing_due_now(self, sim) -> bool:
-        """The runtime's predicate, evaluated on the oracle's queue.
+    def fills_slot(self, sim) -> bool:
+        """The runtime's slot rule, evaluated on the oracle's queue.
 
-        The oracle's queue holds what the runtime's does plus skipped
-        entries.  A skipped hop always runs next, before any predicate
-        is asked again.  A skipped dispatch can wait behind other
-        entries due now (for an empty run queue) or behind its own hop
-        (a busy completion's, which the runtime runs in the hop's
-        entry); it does not count.
+        The runtime fills its slot when the slot is empty and nothing
+        in its heap is due now.  The oracle's queue holds the runtime's
+        heap, the entry in the runtime's slot (due now: the clock cannot
+        pass it), and the dispatches the runtime merged or skipped (due
+        now at most, with no runtime entry).  So the runtime would fill
+        the slot exactly when every entry due now is such a dispatch.
         """
         heap, now = sim._heap, sim.now
         if not heap or heap[0][0] > now:
             return True
-        post = self._skipped_post
-        return self._posts > 0 and all(
-            entry[2] == post for entry in heap if entry[0] <= now
-        )
+        post = self._extra_post
+        return all(entry[2] == post for entry in heap if entry[0] <= now)
 
-    def _skipped_post(self, cpu, queued: bool) -> None:
-        self._posts -= 1
-        if not queued:
+    def _push(self, sim, delay, fn, args) -> None:
+        sim._seq += 1
+        heapq.heappush(sim._heap, (sim.now + delay, sim._seq, fn, args,
+                                   None))
+
+    def schedule_transient(self, sim, delay, fn, *args) -> None:
+        if not 0.0 <= delay < math.inf:
+            raise SimError(f"delay must be finite and >= 0: {delay}")
+        if delay == 0.0 and sim in self._sims and self.fills_slot(sim):
+            self.removable += 1
+        self._push(sim, delay, fn, args)
+
+    def _extra_post(self, cpu, merged: bool) -> None:
+        if not merged:
             # the claim that lets the runtime skip it: nothing to do
             assert (cpu._current is not None or cpu.halted
                     or not cpu._run_queue)
         cpu._post_completion()
-
-    def _wake(self, proc, value, exc=None):
-        if not proc.alive:
-            return
-        proc._clear_wait()
-        self.removable += self.nothing_due_now(proc.sim)
-        proc.sim.schedule_transient(0.0, proc._step, value, exc)
 
     def _slice_done(self, cpu, job, slice_cycles: float) -> None:
         cpu.stats.domain_seconds[job.domain] += slice_cycles / cpu.freq_hz
@@ -81,21 +88,27 @@ class HopOracle:
             cpu._dispatch()
             return
         cpu.stats.jobs_completed += 1
-        queued = bool(cpu._run_queue)
-        skip = not queued or self.nothing_due_now(cpu.sim)
-        stepped = job.proc is not None and job.proc.alive
-        if job.proc is not None:
-            self._wake(job.proc, None)
-        if skip or stepped:
+        proc = job.proc
+        merged = proc is not None and proc.alive
+        if proc is not None:
+            proc._resume(None)
+        if merged or not cpu._run_queue:
             self.removable += 1
-            self._posts += 1
-            cpu.sim.schedule_transient(0.0, self._skipped_post, cpu, queued)
+            self._push(cpu.sim, 0.0, self._extra_post, (cpu, merged))
         else:
             cpu.sim.schedule_transient(0.0, cpu._post_completion)
 
     def install(self, monkeypatch) -> "HopOracle":
-        monkeypatch.setattr(Process, "_wake",
-                            lambda proc, *args: self._wake(proc, *args))
+        init = Simulator.__init__
+
+        def tracked_init(sim, *args, **kwargs):
+            init(sim, *args, **kwargs)
+            self._sims.add(sim)
+
+        monkeypatch.setattr(Simulator, "__init__", tracked_init)
+        monkeypatch.setattr(
+            Simulator, "schedule_transient",
+            lambda sim, *args: self.schedule_transient(sim, *args))
         monkeypatch.setattr(CPU, "_slice_done",
                             lambda cpu, *args: self._slice_done(cpu, *args))
         return self

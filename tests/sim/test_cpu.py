@@ -196,3 +196,30 @@ def test_non_finite_cycles_rejected(bad):
     with pytest.raises(SimError):
         cpu.charge(bad)
     assert not cpu.busy and cpu.queue_depth == 0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kwargs", [
+    # a zero-cycle slice never lowers a job's remaining work: livelock
+    dict(quantum=0.0),
+    dict(quantum=-0.01),
+    dict(quantum=NAN),
+    dict(quantum=INF),
+    dict(freq_hz=NAN),
+    dict(freq_hz=INF),
+    dict(freq_hz=-1.0),
+    dict(switch_cost=-20e-6),
+    dict(switch_cost=NAN),
+    dict(switch_cost=INF),
+])
+def test_bad_cpu_parameters_rejected_at_construction(kwargs):
+    from repro.sim import SimError
+
+    with pytest.raises(SimError):
+        CPU(Simulator(), **kwargs)
+
+
+def test_free_switches_accepted():
+    assert CPU(Simulator(), switch_cost=0.0).switch_cost == 0.0

@@ -1,14 +1,15 @@
-"""Inline wakes against the hop oracle: same run, fewer queue entries.
+"""The next-entry slot against the hop oracle: same run, fewer events.
 
-The runtime steps a woken process inline when its hop would run next
-(after a timer, a CPU completion, or a delivery scheduled as its own
-event), queues no CPU dispatch that would find nothing to do, and folds
-a busy completion's hop and dispatch into one entry.
-``tests/oracles/sim.py`` queues every hop and every dispatch, the way
-the simulator used to.  Both arms must run generated programs (and the
-composed telemetry scenario) identically: the same step log in virtual
-time, the same CPU accounting, the same final clock.  The oracle runs
-exactly the events the runtime skipped on top of the runtime's own.
+The runtime runs a zero-delay entry that would be popped next (a wake
+hop, a spawn or kill hop, a CPU dispatch) from the simulator's
+next-entry slot, as part of the event that made it; it queues no CPU
+dispatch that would find nothing to do, and folds a completion's hop
+and dispatch into one entry.  ``tests/oracles/sim.py`` queues every hop
+and every dispatch, the way the simulator used to.  Both arms must run
+generated programs (and the composed telemetry scenario) identically:
+the same step log in virtual time, the same CPU accounting, the same
+final clock.  The oracle runs exactly the events the runtime skipped on
+top of the runtime's own.
 """
 
 import gc
@@ -21,6 +22,7 @@ from repro.net import EthernetSegment, NetworkStack, Nic, wire_bytes
 from repro.sim import (
     CPU,
     Process,
+    ProcessKilled,
     Queue,
     Simulator,
     Sleep,
@@ -61,6 +63,10 @@ OPS = st.one_of(
     st.tuples(st.just("unicast"), st.integers(0, 1)),
     # both readers' copies in one deliver_batch event
     st.tuples(st.just("multicast")),
+    # a child process, started and (maybe later) killed from a running
+    # step: the control plane's advertisers come and go this way
+    st.tuples(st.just("spawn"), DELAYS, CYCLES),
+    st.tuples(st.just("kill"), st.integers(0, 7)),
 )
 CONTROLS = st.tuples(
     st.integers(0, 24).map(lambda n: n * TICK),
@@ -101,6 +107,16 @@ def run_program(program):
     queues = [Queue(capacity=1, name=f"q{i}") for i in range(2)]
     socks, sender = make_lan(sim)
     log = []
+    children = []
+
+    def child(name, delay, cycles):
+        try:
+            yield Sleep(delay)
+            yield cpus[-1].run(cycles)
+        except ProcessKilled:
+            log.append((sim.now, name, "killed"))
+            raise
+        log.append((sim.now, name, "done"))
 
     def body(name, ops):
         for i, op in enumerate(ops):
@@ -122,6 +138,16 @@ def run_program(program):
                     if op[2] is not None:
                         wait = Timeout(wait, op[2])
                     value = (yield wait).payload
+                elif kind == "spawn":
+                    cname = f"{name}.{i}"
+                    children.append(Process.spawn(
+                        sim, child(cname, op[1], op[2]), cname))
+                    value = cname
+                elif kind == "kill":
+                    everyone = procs + children
+                    target = everyone[op[1] % len(everyone)]
+                    target.kill()
+                    value = target.name
                 elif kind in ("unicast", "multicast"):
                     dst = IPS[op[1]] if kind == "unicast" else GROUP
                     value = sender.sendto(f"{name}:{i}".encode(),
@@ -154,7 +180,8 @@ def run_program(program):
         "drops": [sock.drops for sock in socks],
         "cpus": [cpu.stats.snapshot() for cpu in cpus],
         "now": sim.now,
-        "procs": [(p.alive, p.result, repr(p.exception)) for p in procs],
+        "procs": [(p.alive, p.result, repr(p.exception))
+                  for p in procs + children],
     }
 
 
@@ -178,8 +205,10 @@ def test_generated_programs_match_the_hop_oracle(program):
 
 
 def test_a_lone_wake_runs_inline():
-    """Spawn hop, the sleep's expiry, the slice's completion: three
-    events where the oracle runs six (two wake hops, one dispatch)."""
+    """The set-up spawn, the sleep's wake and the completion's step and
+    dispatch all run from the slot: two events (the sleep's expiry, the
+    slice's completion) where the oracle runs six (three hops, and a
+    dispatch behind the last)."""
     def program():
         sim = Simulator()
         cpu = CPU(sim, freq_hz=FREQ, switch_cost=0.0)
@@ -194,14 +223,15 @@ def test_a_lone_wake_runs_inline():
 
     (new_sim, new), (old_sim, old), oracle = both_arms(program)
     assert new == old == (2 * TICK, old[1])
-    assert (new_sim.events_executed, oracle.removable) == (3, 3)
+    assert (new_sim.events_executed, oracle.removable) == (2, 4)
     assert old_sim.events_executed == 6
 
 
 def test_a_busy_instant_keeps_the_hop():
     """Two sleepers due together: the first wake waits behind the second
     sleeper's expiry, the second behind the first's hop.  Neither may
-    run inline, so both arms run the same six events."""
+    use the slot, so both wakes hop in both arms; only the first spawn,
+    made at set-up with nothing queued, runs from the slot."""
     order = []
 
     def program():
@@ -218,15 +248,16 @@ def test_a_busy_instant_keeps_the_hop():
 
     (new_sim, _), (old_sim, _), oracle = both_arms(program)
     assert order == ["a", "b", "a", "b"]
-    assert new_sim.events_executed == old_sim.events_executed == 6
-    assert oracle.removable == 0
+    assert (new_sim.events_executed, oracle.removable) == (5, 1)
+    assert old_sim.events_executed == 6
 
 
 def test_a_busy_completion_is_one_entry():
     """``a`` and ``b`` share a CPU and ``c`` wakes just as ``a``'s job
     ends.  The oracle queues ``a``'s hop and the dispatch of ``b``'s
     job as two adjacent entries; the runtime queues one.  ``b``'s lone
-    completion then runs its wake and dispatch inline."""
+    completion then steps ``b`` from the slot, with no dispatch to
+    follow it."""
     order = []
 
     def program():
@@ -250,14 +281,16 @@ def test_a_busy_completion_is_one_entry():
     (new_sim, new), (old_sim, old), oracle = both_arms(program)
     assert new == old
     assert order == [("a", TICK), ("c", TICK), ("b", 2 * TICK)] * 2
-    assert (new_sim.events_executed, oracle.removable) == (8, 3)
+    assert (new_sim.events_executed, oracle.removable) == (7, 4)
     assert old_sim.events_executed == 11
 
 
 def test_a_lone_delivery_wakes_its_reader_inline():
     """A unicast copy is its own event: the reader blocked in recv()
-    steps inside it.  A multicast copy to both readers rides one
-    deliver_batch event, and each reader it wakes keeps its hop."""
+    steps from the slot right after it.  A multicast copy to both
+    readers rides one deliver_batch event: the first reader it wakes
+    steps from the slot after the batch, and the second, queued behind
+    it, keeps its hop."""
     got = []
 
     def program(dst):
@@ -275,14 +308,54 @@ def test_a_lone_delivery_wakes_its_reader_inline():
 
     (new_sim, _), (old_sim, _), oracle = both_arms(lambda: program(IPS[0]))
     assert got == [(b"ping", 2 * TICK)] * 2
-    assert (new_sim.events_executed, oracle.removable) == (3, 1)
+    assert (new_sim.events_executed, oracle.removable) == (2, 2)
     assert old_sim.events_executed == 4
 
     got.clear()
     (new_sim, _), (old_sim, _), oracle = both_arms(lambda: program(GROUP))
     assert got == [(b"ping", 2 * TICK)] * 4
-    assert new_sim.events_executed == old_sim.events_executed == 5
-    assert oracle.removable == 0
+    assert (new_sim.events_executed, oracle.removable) == (3, 2)
+    assert old_sim.events_executed == 5
+
+
+def test_spawn_and_kill_from_a_running_step_queue_no_entry():
+    """A running process starts a child, and one tick later kills it.
+    Each hop would run next, so each runs from the slot: the heap never
+    holds them, and the runtime runs only the parent's two timer events
+    (the child's cancelled timer is popped, not run)."""
+    log = []
+
+    def program():
+        sim = Simulator()
+
+        def child():
+            try:
+                yield Sleep(10 * TICK)
+            except ProcessKilled:
+                log.append(("killed", sim.now))
+                raise
+
+        def parent():
+            yield Sleep(TICK)
+            depth = len(sim._heap)
+            kid = Process.spawn(sim, child())
+            log.append(("spawn queued", len(sim._heap) - depth))
+            yield Sleep(TICK)
+            depth = len(sim._heap)
+            kid.kill()
+            log.append(("kill queued", len(sim._heap) - depth))
+
+        Process.spawn(sim, parent())
+        sim.run()
+        return sim, sim.now
+
+    (new_sim, new), (old_sim, old), oracle = both_arms(program)
+    assert new == old == 2 * TICK
+    assert log[:3] == [("spawn queued", 0), ("kill queued", 0),
+                       ("killed", 2 * TICK)]
+    # set-up spawn, two wake hops, the child's spawn and kill hops
+    assert (new_sim.events_executed, oracle.removable) == (2, 5)
+    assert old_sim.events_executed == 7
 
 
 def test_composed_scenario_matches_the_hop_oracle():
