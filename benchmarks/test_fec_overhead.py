@@ -88,7 +88,7 @@ def run_hop(recovery, loss_rate):
         "abandoned": hop.stats.abandoned,
         "recovered": hop.stats.recovered,
         "nacks_sent": hop.stats.nacks_sent,
-        "retransmits": hop.link.retransmits,
+        "retransmits": hop.link.stats.retransmits,
         "parity_frames": hop.fec.parity_sent,
         "overhead_pct": percent(hop.fec.parity_bytes, hop.fec.data_bytes),
     }

@@ -78,8 +78,8 @@ def run_tree(regionals, leaves_per_relay):
         # host-independent cost metric: deterministic per seed
         "events_per_played": round(system.sim.events_executed / played, 2),
         "relay_forwarded": forwarded,
-        "wan_sent": report.wan_sent,
-        "wan_delivered": report.wan_delivered,
+        "wan_sent": report.stats["wan_link"].sent,
+        "wan_delivered": report.stats["wan_link"].delivered,
     }
 
 

@@ -39,8 +39,9 @@ def main() -> None:
     client.start()
     system.run(until=20.0)
 
-    print(f"WAN: {wan.sent} blocks sent, {wan.delivered} delivered "
-          f"({wan.bytes_sent/1e6:.2f} MB over one connection)")
+    st = wan.stats
+    print(f"WAN: {st.sent} blocks sent, {st.delivered} delivered "
+          f"({st.bytes_sent/1e6:.2f} MB over one connection)")
     print(f"radio client decoded {client.blocks_played} blocks "
           f"behind a {client.jitter_buffer_blocks}-block jitter buffer")
     print()

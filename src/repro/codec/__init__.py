@@ -14,11 +14,10 @@ inside the simulation (Figure 4).
 
 from repro.codec.base import CodecID, get_codec
 from repro.codec.cache import (
+    CacheStats,
     DecodeCache,
-    DecodeCacheStats,
     DecodedBlock,
     EncodeCache,
-    EncodeCacheStats,
     EncodedBlock,
 )
 from repro.codec.vorbislike import VorbisLikeCodec
@@ -29,11 +28,10 @@ from repro.codec.cost import CodecCostModel, DEFAULT_COSTS
 __all__ = [
     "CodecID",
     "get_codec",
+    "CacheStats",
     "DecodeCache",
-    "DecodeCacheStats",
     "DecodedBlock",
     "EncodeCache",
-    "EncodeCacheStats",
     "EncodedBlock",
     "VorbisLikeCodec",
     "AdpcmCodec",

@@ -39,7 +39,9 @@ from typing import Optional, Tuple
 
 
 @dataclass
-class DecodeCacheStats:
+class CacheStats:
+    """Lookup counters of one :class:`DecodeCache` or :class:`EncodeCache`."""
+
     hits: int = 0
     misses: int = 0
     evictions: int = 0
@@ -85,7 +87,7 @@ class DecodeCache:
             telemetry = get_telemetry()
         self.max_entries = max_entries
         self.name = name
-        self.stats = DecodeCacheStats()
+        self.stats = CacheStats()
         telemetry.register("codec.cache", name, self.stats)
         self._entries: "OrderedDict[Tuple, DecodedBlock]" = OrderedDict()
 
@@ -125,18 +127,6 @@ class DecodeCache:
         self._entries.clear()
 
 
-@dataclass
-class EncodeCacheStats:
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 @dataclass(frozen=True)
 class EncodedBlock:
     """The shareable result of encoding one raw payload."""
@@ -166,7 +156,7 @@ class EncodeCache:
             telemetry = get_telemetry()
         self.max_entries = max_entries
         self.name = name
-        self.stats = EncodeCacheStats()
+        self.stats = CacheStats()
         telemetry.register("codec.encode_cache", name, self.stats)
         self._entries: "OrderedDict[Tuple, EncodedBlock]" = OrderedDict()
 

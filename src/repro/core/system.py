@@ -39,7 +39,7 @@ from repro.core.protocol import (
     ENTITY_STANDBY,
 )
 from repro.core.rebroadcaster import Rebroadcaster
-from repro.core.speaker import EthernetSpeaker
+from repro.core.speaker import EthernetSpeaker, SpeakerStats
 from repro.kernel.audio import (
     AUDIO_DRAIN,
     AUDIO_SETINFO,
@@ -54,6 +54,7 @@ from repro.metrics.telemetry import (
     ChannelReport,
     PipelineReport,
     Telemetry,
+    sum_stats,
 )
 from repro.mgmt.controller import FleetController
 from repro.mgmt.discovery import DEFAULT_VALID_TIME, EntityAdvertiser
@@ -963,11 +964,11 @@ class EthernetSpeakerSystem:
         """The end-to-end telemetry view of this run.
 
         Latency/jitter percentiles come from the telemetry histograms
-        (empty when telemetry is disabled); the per-channel accounting
-        and conservation check work in either mode, from component
-        stats.  ``in_flight`` counts datagrams still queued in speaker
-        sockets — at quiescence it is zero and conservation reduces to
-        ``sent == received + dropped``.
+        (empty when telemetry is disabled); the per-channel accounting,
+        the per-kind stats rows and the conservation check work in
+        either mode, from component stats.  ``in_flight`` counts
+        datagrams still queued in speaker sockets — at quiescence it is
+        zero and conservation reduces to ``sent == received + dropped``.
         """
         tel = self.telemetry
         receivers = self.speakers + self.cohorts
@@ -1016,9 +1017,6 @@ class EthernetSpeakerSystem:
                 return {}
             return hist.snapshot()
 
-        cache_stats = self.decode_cache.stats
-        enc_cache_stats = self.encode_cache.stats
-
         all_gaps = [
             g for n in self.speakers for g in n.stats.rejoin_gaps
         ]
@@ -1037,6 +1035,7 @@ class EthernetSpeakerSystem:
         wan_extra_deliveries = 0
         for relay in self.relays:
             hop = relay.uplink
+            link = hop.link.stats
             subtree = self.weight(relay)
             faults = hop.link.faults
             # an injector's kills/corruptions deny at most one subtree of
@@ -1051,15 +1050,38 @@ class EthernetSpeakerSystem:
             injected_corrupt = faults.stats.corrupted if faults else 0
             injected_dup = faults.stats.duplicated if faults else 0
             wan_lost_deliveries += subtree * (
-                hop.link.lost + hop.link.in_flight + hop.pending
+                link.lost + hop.link.in_flight + hop.pending
                 + hop.stats.stale_dropped + hop.stats.corrupt_dropped
                 + injected_lost + injected_corrupt
                 + relay.stats.dropped_down
             )
             wan_extra_deliveries += subtree * (
-                hop.link.retransmits + injected_dup + hop.fec.repaired
+                link.retransmits + injected_dup + hop.fec.repaired
                 + relay.stats.filler_data
             )
+
+        hops = self.wan_hops
+        sources = {
+            "segment": [l.stats for l in self.lans],
+            "lan_faults": [f.stats for f in self.fault_injectors],
+            "wan_link": [h.link.stats for h in hops],
+            "wan_hop": [h.stats for h in hops],
+            "wan_faults": [f.stats for f in self.wan_fault_injectors],
+            "fec": [h.fec for h in hops],
+            "relay": [r.stats for r in self.relays],
+            "failover": [s.stats for s in self.standbys],
+            "supervisor": [s.stats for s in self.supervisors],
+            "controller": [c.stats for c in self.controllers],
+            "advertiser": [a.stats for a in self.advertisers],
+            "decode_cache": [self.decode_cache.stats],
+            "encode_cache": [self.encode_cache.stats],
+        }
+        # one row per component kind the system has: its stats dataclass,
+        # summed; a cohort sums its members' SpeakerStats itself
+        stats = {"speaker": sum_stats(SpeakerStats, receivers,
+                                      lambda r, name: r.stat_sum(name))}
+        stats.update((kind, sum_stats(type(objs[0]), objs))
+                     for kind, objs in sources.items() if objs)
         return PipelineReport(
             duration=self.sim.now,
             latency=_snap("pipeline.e2e_latency"),
@@ -1068,103 +1090,20 @@ class EthernetSpeakerSystem:
             underruns=sum(r.underruns() for r in receivers),
             silence_seconds=sum(r.silence_seconds() for r in receivers),
             channels=channels,
-            wire_drops=sum(l.stats.frames_dropped for l in self.lans),
-            wire_losses=sum(l.stats.receiver_losses for l in self.lans),
-            injected_losses=sum(
-                f.stats.lost for f in self.fault_injectors
-            ),
-            injected_duplicates=sum(
-                f.stats.duplicated for f in self.fault_injectors
-            ),
-            injected_reordered=sum(
-                f.stats.reordered for f in self.fault_injectors
-            ),
-            injected_corrupted=sum(
-                f.stats.corrupted for f in self.fault_injectors
-            ),
-            injected_pending=sum(
-                f.pending for f in self.fault_injectors
-            ),
-            decode_cache_hits=cache_stats.hits,
-            decode_cache_misses=cache_stats.misses,
-            decode_cache_evictions=cache_stats.evictions,
-            encode_cache_hits=enc_cache_stats.hits,
-            encode_cache_misses=enc_cache_stats.misses,
-            encode_cache_evictions=enc_cache_stats.evictions,
+            stats=stats,
+            injected_pending=sum(f.pending for f in self.fault_injectors),
             fanout_batch=_snap("net.fanout_batch"),
             encode_batch=_snap("origin.encode_batch"),
-            failovers=sum(s.stats.takeovers for s in self.standbys),
-            standdowns=sum(s.stats.standdowns for s in self.standbys),
             takeover_latency=_snap("failover.takeover_latency"),
-            epoch_resyncs=sum(r.stat_sum("epoch_resyncs") for r in receivers),
             rejoins=len(all_gaps),
             rejoin_gap=_snap("speaker.rejoin_gap"),
             max_rejoin_gap=max(all_gaps, default=0.0),
-            missed_heartbeats=sum(
-                s.stats.missed_heartbeats for s in self.supervisors
-            ),
-            node_restarts=sum(
-                s.stats.restarts for s in self.supervisors
-            ),
             cohort_members=sum(c.members for c in self.cohorts),
             cohort_spills=sum(c.spills for c in self.cohorts),
-            cohort_events_saved=sum(
-                c.events_saved for c in self.cohorts
-            ),
-            wan_sent=sum(h.link.sent for h in self.wan_hops),
-            wan_delivered=sum(h.link.delivered for h in self.wan_hops),
-            wan_lost=sum(h.link.lost for h in self.wan_hops),
-            wan_retransmits=sum(h.link.retransmits for h in self.wan_hops),
-            wan_in_flight=sum(
-                h.link.in_flight + h.pending for h in self.wan_hops
-            ),
-            wan_nacks=sum(h.stats.nacks_sent for h in self.wan_hops),
-            wan_recovered=sum(h.stats.recovered for h in self.wan_hops),
-            wan_abandoned=sum(h.stats.abandoned for h in self.wan_hops),
-            wan_corrupt_dropped=sum(
-                h.stats.corrupt_dropped for h in self.wan_hops
-            ),
-            wan_fec_sent=sum(h.fec.parity_sent for h in self.wan_hops),
-            wan_fec_repaired=sum(h.fec.repaired for h in self.wan_hops),
-            wan_fec_unrepairable=sum(
-                h.fec.unrepairable for h in self.wan_hops
-            ),
-            wan_fec_wasted=sum(h.fec.wasted for h in self.wan_hops),
-            wan_injected_losses=sum(
-                f.stats.lost for f in self.wan_fault_injectors
-            ),
-            wan_injected_duplicates=sum(
-                f.stats.duplicated for f in self.wan_fault_injectors
-            ),
-            wan_injected_reordered=sum(
-                f.stats.reordered for f in self.wan_fault_injectors
-            ),
-            wan_injected_corrupted=sum(
-                f.stats.corrupted for f in self.wan_fault_injectors
-            ),
-            relay_fallbacks=sum(r.stats.fallbacks for r in self.relays),
-            relay_standdowns=sum(r.stats.standdowns for r in self.relays),
-            relay_filler=sum(r.stats.filler_data for r in self.relays),
+            cohort_events_saved=sum(c.events_saved for c in self.cohorts),
+            wan_in_flight=sum(h.link.in_flight + h.pending for h in hops),
             wan_lost_deliveries=wan_lost_deliveries,
             wan_extra_deliveries=wan_extra_deliveries,
-            adp_advertises=sum(
-                a.stats.advertises for a in self.advertisers
-            ),
-            adp_expiries=sum(
-                c.stats.expiries for c in self.controllers
-            ),
-            adp_departs=sum(
-                c.stats.departs for c in self.controllers
-            ),
-            acmp_connects=sum(
-                c.stats.acmp_connects for c in self.controllers
-            ),
-            acmp_failures=sum(
-                c.stats.acmp_failures for c in self.controllers
-            ),
-            enumerations=sum(
-                c.stats.enumerations for c in self.controllers
-            ),
             trace_events=len(tel.tracer.events),
         )
 

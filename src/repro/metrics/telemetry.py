@@ -35,9 +35,10 @@ conservation checks use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dc_fields
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-from repro.metrics.report import ascii_table, ratio
+from repro.metrics.report import ascii_table
 from repro.metrics.trace import NULL_TRACER, Tracer
 
 
@@ -57,6 +58,21 @@ def log_buckets(lo: float, hi: float, per_decade: int = 4) -> Tuple[float, ...]:
         edge *= step
     bounds.append(edge)
     return tuple(bounds)
+
+
+def int_fields(stats) -> Tuple[str, ...]:
+    """The counters of a stats dataclass (class or instance): its ``int``
+    fields, in declaration order."""
+    return tuple(f.name for f in dc_fields(stats) if f.type in (int, "int"))
+
+
+def sum_stats(cls, objs: Iterable, get: Callable = getattr):
+    """A fresh ``cls`` whose ``int`` fields are summed field by field over
+    ``objs``; every other field keeps its default.  ``get(obj, field)``
+    reads one object's count (``getattr`` for instances of ``cls``)."""
+    objs = list(objs)
+    return cls(**{name: sum(get(obj, name) for obj in objs)
+                  for name in int_fields(cls)})
 
 
 #: default bounds for time-valued histograms (seconds): 1 µs .. 10 s
@@ -231,8 +247,7 @@ class Telemetry:
         if not self.enabled:
             return
         if fields is None:
-            fields = {f.name: f.name for f in dc_fields(obj)
-                      if f.type in (int, "int")}
+            fields = {name: name for name in int_fields(obj)}
         suffix = f"[{label}]" if label else ""
         for name, attr in fields.items():
             self._sources.setdefault(f"{kind}.{name}{suffix}", []).append(
@@ -406,7 +421,15 @@ class ChannelReport:
 
 @dataclass
 class PipelineReport:
-    """End-to-end numbers for one run: what a perf PR must not regress."""
+    """End-to-end numbers for one run: what a perf PR must not regress.
+
+    :attr:`stats` holds one row per component kind the system has: that
+    kind's own stats dataclass, summed field by field over every
+    component of the kind (:func:`sum_stats`).  A counter added to a
+    component's dataclass shows up here and in :meth:`summary` with no
+    other edit.  The named fields are the quantities that are not such a
+    sum.
+    """
 
     duration: float
     latency: dict = field(default_factory=dict)     # e2e producer->DAC write
@@ -415,77 +438,24 @@ class PipelineReport:
     underruns: int = 0
     silence_seconds: float = 0.0
     channels: List[ChannelReport] = field(default_factory=list)
-    wire_drops: int = 0       # whole frames dropped at the sender (backlog)
-    wire_losses: int = 0      # receiver copies lost to random wire loss
-    #: itemised injected faults (repro.net.faults.FaultInjector), summed
-    #: over every injector attached to the system's links
-    injected_losses: int = 0      # copies the injector killed
-    injected_duplicates: int = 0  # extra copies the injector minted
-    injected_reordered: int = 0   # copies held back past later traffic
-    injected_corrupted: int = 0   # copies with a flipped payload byte
-    injected_pending: int = 0     # copies still parked for reordering
-    #: shared decode cache (repro.codec.cache), summed over the system's
-    #: caches — hits are blocks whose host-side decode was skipped
-    decode_cache_hits: int = 0
-    decode_cache_misses: int = 0
-    decode_cache_evictions: int = 0
+    #: component kind -> that kind's stats dataclass, summed
+    stats: Dict[str, object] = field(default_factory=dict)
+    injected_pending: int = 0     # LAN injector copies parked for reordering
     #: receivers-per-delivery-event histogram snapshot (net.fanout_batch);
     #: empty when telemetry is disabled or delivery is unbatched
     fanout_batch: dict = field(default_factory=dict)
-    #: encode-side cache (repro.codec.cache.EncodeCache), origin mirror of
-    #: the decode counters above.  Host-side accounting only: hits skip
-    #: numpy work, never virtual CPU time, so these stay out-of-band of
-    #: the conservation bound below
-    encode_cache_hits: int = 0
-    encode_cache_misses: int = 0
-    encode_cache_evictions: int = 0
     #: frames-per-real-encoder-invocation histogram (origin.encode_batch);
     #: empty when telemetry is disabled or no real encoder ran
     encode_batch: dict = field(default_factory=dict)
-    #: self-healing activity (warm-standby failover + supervision layer)
-    failovers: int = 0            # warm-standby takeovers
-    standdowns: int = 0           # standbys yielding to a newer epoch
     takeover_latency: dict = field(default_factory=dict)  # silence -> decision
-    epoch_resyncs: int = 0        # speaker re-anchors forced by epoch bumps
     rejoins: int = 0              # playback resumptions after an outage
     rejoin_gap: dict = field(default_factory=dict)  # histogram snapshot
     max_rejoin_gap: float = 0.0   # worst audible hole (from speaker stats)
-    missed_heartbeats: int = 0    # supervisor scans that found a node silent
-    node_restarts: int = 0        # restarts the supervisors drove
     #: vectorized speaker cohorts (repro.core.cohort.SpeakerCohort)
     cohort_members: int = 0       # receivers represented by cohort rows
     cohort_spills: int = 0        # members materialised as full speakers
     cohort_events_saved: int = 0  # delivery events one exemplar stood in for
-    #: WAN relay tree (repro.net.wan): link counters summed over every
-    #: hop, NACK reliability activity, and relay fallback activity
-    wan_sent: int = 0             # frames offered to WAN links (incl. retx)
-    wan_delivered: int = 0        # frames the links delivered
-    wan_lost: int = 0             # frames the links' loss draw killed
-    wan_retransmits: int = 0      # NACK-driven re-sends
-    wan_in_flight: int = 0        # scheduled or parked, not yet downstream
-    wan_nacks: int = 0            # NACK messages over reverse paths
-    wan_recovered: int = 0        # gap positions a retransmit/repair filled
-    wan_abandoned: int = 0        # gap positions skipped after timeout
-    wan_corrupt_dropped: int = 0  # hop arrivals the parser rejected
-    #: application-layer FEC (repro.net.fec), summed over every hop
-    #: running a ``"fec"``/``"fec+nack"`` recovery ladder.  Parity frames
-    #: are hop-local and never channel data, so they stay out of the
-    #: per-channel residual; the *repairs* are deliveries the origin
-    #: never re-sent, folded into ``wan_extra_deliveries`` below
-    wan_fec_sent: int = 0         # parity frames emitted by encoders
-    wan_fec_repaired: int = 0     # data frames reconstructed + injected
-    wan_fec_unrepairable: int = 0 # member losses beyond repair capacity
-    wan_fec_wasted: int = 0       # parity frames that repaired nothing
-    #: per-WAN-link fault injection (dedicated injectors on WanLinks;
-    #: LAN injector sums above stay separate because their conservation
-    #: budgets scale by the whole fleet, these by the hop's subtree)
-    wan_injected_losses: int = 0
-    wan_injected_duplicates: int = 0
-    wan_injected_reordered: int = 0
-    wan_injected_corrupted: int = 0
-    relay_fallbacks: int = 0      # local filler sources started
-    relay_standdowns: int = 0     # fallbacks yielding to a returned uplink
-    relay_filler: int = 0         # filler data blocks minted
+    wan_in_flight: int = 0        # WAN frames scheduled or parked at a hop
     #: Σ per-hop (lost + in-flight/parked + resequencer/parser drops +
     #: injector kills/corruptions + relay-down drops) × subtree speakers
     #: — leaf deliveries the WAN admits to having denied
@@ -494,26 +464,27 @@ class PipelineReport:
     #: fallback filler) × subtree speakers — leaf deliveries the tree
     #: minted that the origin never sent
     wan_extra_deliveries: int = 0
-    #: dynamic control plane (repro.mgmt.discovery / .controller): all
-    #: out-of-band on the management segment, so none of these touch the
-    #: audio conservation ledger
-    adp_advertises: int = 0       # ENTITY_AVAILABLEs transmitted
-    adp_expiries: int = 0         # leases that lapsed at a controller
-    adp_departs: int = 0          # clean ENTITY_DEPARTINGs honoured
-    acmp_connects: int = 0        # CONNECT_RX transactions completed
-    acmp_failures: int = 0        # transactions that exhausted retries
-    enumerations: int = 0         # AECP descriptor reads completed
     trace_events: int = 0
 
-    @property
-    def decode_cache_hit_rate(self) -> float:
-        total = self.decode_cache_hits + self.decode_cache_misses
-        return self.decode_cache_hits / total if total else 0.0
+    def count(self, kind: str, name: str) -> int:
+        """``stats[kind].<name>``, or 0 when the report has no such row."""
+        row = self.stats.get(kind)
+        return getattr(row, name) if row is not None else 0
 
-    @property
-    def encode_cache_hit_rate(self) -> float:
-        total = self.encode_cache_hits + self.encode_cache_misses
-        return self.encode_cache_hits / total if total else 0.0
+    # read by name in perfbench/run.py:counts() and nowhere else in the
+    # program; they go once perfbench reads the rows
+    wan_sent = property(lambda self: self.count("wan_link", "sent"))
+    wan_lost = property(lambda self: self.count("wan_link", "lost"))
+    wan_retransmits = property(
+        lambda self: self.count("wan_link", "retransmits"))
+    wan_injected_losses = property(
+        lambda self: self.count("wan_faults", "lost"))
+    wan_nacks = property(lambda self: self.count("wan_hop", "nacks_sent"))
+    failovers = property(lambda self: self.count("failover", "takeovers"))
+    adp_advertises = property(
+        lambda self: self.count("advertiser", "advertises"))
+    adp_expiries = property(lambda self: self.count("controller", "expiries"))
+    adp_departs = property(lambda self: self.count("controller", "departs"))
 
     @property
     def total_sent(self) -> int:
@@ -531,15 +502,16 @@ class PipelineReport:
     def conservation_ok(self) -> bool:
         """True when every delivery is accounted for, faults included.
 
-        A frame dropped at the sender loses up to fan-out deliveries; a
-        random wire loss or an injected loss kills exactly one receiver
-        copy; an injected corruption may turn a copy into garbage the
-        speaker cannot attribute to the channel; a copy still parked for
-        reordering is in flight.  All of those push the residual up, and
-        the residual must fit inside what the network admits to having
-        done.  Injected *duplicates* mint extra copies the producer never
-        sent, pushing the residual negative — by at most the number of
-        duplications.
+        A frame dropped at the sender (``segment.frames_dropped``) loses
+        up to fan-out deliveries; a random wire loss
+        (``segment.receiver_losses``) or an injected loss
+        (``lan_faults.lost``) kills exactly one receiver copy; an injected
+        corruption may turn a copy into garbage the speaker cannot
+        attribute to the channel; a copy still parked for reordering is in
+        flight.  All of those push the residual up, and the residual must
+        fit inside what the network admits to having done.  Injected
+        *duplicates* mint extra copies the producer never sent, pushing
+        the residual negative — by at most the number of duplications.
 
         WAN hops extend both sides: every frame a hop denied (wire loss,
         injector kill or corruption, in flight, parked for resequencing
@@ -549,20 +521,22 @@ class PipelineReport:
         duplicates, FEC-repaired frames, and relay fallback filler mint
         deliveries the origin never sent (``wan_extra_deliveries``).
         Parity frames themselves never enter either side: they are not
-        channel data, so ``wan_fec_sent``/``wan_fec_wasted`` are pure
-        overhead rows, and only ``wan_fec_repaired`` (inside
+        channel data, so ``fec.parity_sent``/``fec.wasted`` are pure
+        overhead, and only ``fec.repaired`` (inside
         ``wan_extra_deliveries``) touches the bound."""
+        count = self.count
         bound = (
-            self.wire_drops * max(
+            count("segment", "frames_dropped") * max(
                 (c.speakers for c in self.channels), default=1
             )
-            + self.wire_losses
-            + self.injected_losses
-            + self.injected_corrupted
+            + count("segment", "receiver_losses")
+            + count("lan_faults", "lost")
+            + count("lan_faults", "corrupted")
             + self.injected_pending
             + self.wan_lost_deliveries
         )
-        floor = -(self.injected_duplicates + self.wan_extra_deliveries)
+        floor = -(count("lan_faults", "duplicated")
+                  + self.wan_extra_deliveries)
         return floor <= self.conservation_residual <= bound
 
     def summary(self) -> str:
@@ -604,103 +578,23 @@ class PipelineReport:
             ["duration (s)", self.duration],
             ["underruns", self.underruns],
             ["silence (s)", self.silence_seconds],
-            ["wire drops", self.wire_drops],
-            ["wire losses", self.wire_losses],
         ]
-        if (self.injected_losses or self.injected_duplicates
-                or self.injected_reordered or self.injected_corrupted
-                or self.injected_pending):
-            rows += [
-                ["injected losses", self.injected_losses],
-                ["injected duplicates", self.injected_duplicates],
-                ["injected reordered", self.injected_reordered],
-                ["injected corrupted", self.injected_corrupted],
-                ["injected pending", self.injected_pending],
-            ]
-        if self.decode_cache_hits or self.decode_cache_misses:
-            rows += [
-                ["decode cache hits", self.decode_cache_hits],
-                ["decode cache misses", self.decode_cache_misses],
-                ["decode cache evictions", self.decode_cache_evictions],
-                ["decode cache hit rate",
-                 round(self.decode_cache_hit_rate, 4)],
-            ]
-        if self.encode_cache_hits or self.encode_cache_misses:
-            rows += [
-                ["encode cache hits", self.encode_cache_hits],
-                ["encode cache misses", self.encode_cache_misses],
-                ["encode cache evictions", self.encode_cache_evictions],
-                ["encode cache hit rate",
-                 round(self.encode_cache_hit_rate, 4)],
-            ]
-        if (self.failovers or self.standdowns or self.rejoins
-                or self.missed_heartbeats or self.node_restarts
-                or self.epoch_resyncs):
-            rows += [
-                ["failovers (takeovers)", self.failovers],
-                ["standby stand-downs", self.standdowns],
-                ["epoch resyncs", self.epoch_resyncs],
-                ["rejoins", self.rejoins],
-                ["max rejoin gap (s)", round(self.max_rejoin_gap, 4)],
-                ["missed heartbeats", self.missed_heartbeats],
-                ["node restarts", self.node_restarts],
-            ]
-        if self.cohort_members:
-            rows += [
-                ["cohort members", self.cohort_members],
-                ["cohort spills", self.cohort_spills],
-                ["cohort events saved", self.cohort_events_saved],
-            ]
-        if self.wan_sent or self.relay_fallbacks:
-            rows += [
-                ["wan sent", self.wan_sent],
-                ["wan delivered", self.wan_delivered],
-                ["wan lost", self.wan_lost],
-                ["wan delivery rate",
-                 round(ratio(self.wan_delivered, self.wan_sent), 4)],
-                ["wan retransmits", self.wan_retransmits],
-                ["wan nacks", self.wan_nacks],
-                ["wan recovered", self.wan_recovered],
-                ["wan abandoned", self.wan_abandoned],
-                ["wan in flight", self.wan_in_flight],
-            ]
-            if self.wan_fec_sent or self.wan_fec_repaired:
-                rows += [
-                    ["wan fec parity sent", self.wan_fec_sent],
-                    ["wan fec repaired", self.wan_fec_repaired],
-                    ["wan fec unrepairable", self.wan_fec_unrepairable],
-                    ["wan fec wasted", self.wan_fec_wasted],
-                ]
-            if (self.wan_injected_losses or self.wan_injected_duplicates
-                    or self.wan_injected_reordered
-                    or self.wan_injected_corrupted
-                    or self.wan_corrupt_dropped):
-                rows += [
-                    ["wan injected losses", self.wan_injected_losses],
-                    ["wan injected duplicates",
-                     self.wan_injected_duplicates],
-                    ["wan injected reordered", self.wan_injected_reordered],
-                    ["wan injected corrupted", self.wan_injected_corrupted],
-                    ["wan corrupt dropped", self.wan_corrupt_dropped],
-                ]
-            rows += [
-                ["relay fallbacks", self.relay_fallbacks],
-                ["relay stand-downs", self.relay_standdowns],
-                ["relay filler blocks", self.relay_filler],
-                ["wan lost deliveries", self.wan_lost_deliveries],
-                ["wan extra deliveries", self.wan_extra_deliveries],
-            ]
-        if (self.adp_advertises or self.adp_expiries
-                or self.acmp_connects or self.acmp_failures
-                or self.enumerations):
-            rows += [
-                ["adp advertises", self.adp_advertises],
-                ["adp expiries", self.adp_expiries],
-                ["adp departs", self.adp_departs],
-                ["acmp connects", self.acmp_connects],
-                ["acmp failures", self.acmp_failures],
-                ["enumerations", self.enumerations],
-            ]
+        for kind, row in self.stats.items():
+            counts = [[f"{kind}.{name}", getattr(row, name)]
+                      for name in int_fields(row)]
+            if any(value for _, value in counts):
+                rows += counts
+        rows += [[label, value] for label, value in (
+            ["injected pending", self.injected_pending],
+            ["rejoins", self.rejoins],
+            ["max rejoin gap (s)", round(self.max_rejoin_gap, 4)],
+            ["cohort members", self.cohort_members],
+            ["cohort spills", self.cohort_spills],
+            ["cohort events saved", self.cohort_events_saved],
+            ["wan in flight", self.wan_in_flight],
+            ["wan lost deliveries", self.wan_lost_deliveries],
+            ["wan extra deliveries", self.wan_extra_deliveries],
+        ) if value]
         rows += [
             ["trace events", self.trace_events],
             ["conservation ok", str(self.conservation_ok)],

@@ -25,7 +25,8 @@ from repro.net.switch import SwitchedSegment
 # wan and fec are loaded lazily (PEP 562): they import repro.core, and
 # this package initialises from inside repro.kernel.machine's own import
 # — an eager import here would re-enter that half-built module
-_WAN_NAMES = ("WanLink", "WanHop", "WanHopStats", "RelayNode", "RelayStats")
+_WAN_NAMES = ("WanLink", "WanLinkStats", "WanHop", "WanHopStats", "RelayNode",
+              "RelayStats")
 _FEC_NAMES = ("FecEncoder", "FecReassembler", "FecStats")
 
 
@@ -55,6 +56,7 @@ __all__ = [
     "UdpSocket",
     "BandwidthMonitor",
     "WanLink",
+    "WanLinkStats",
     "WanHop",
     "WanHopStats",
     "RelayNode",

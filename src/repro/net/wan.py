@@ -99,6 +99,15 @@ class _WanRx:
         self._link._deliver(dgram.payload, self._cb)
 
 
+@dataclass
+class WanLinkStats:
+    sent: int = 0             # frames offered to the link (incl. retransmits)
+    delivered: int = 0        # frames handed to the downstream callback
+    lost: int = 0             # frames the loss draw killed
+    retransmits: int = 0      # NACK-driven re-sends among ``sent``
+    bytes_sent: int = 0       # payload bytes offered
+
+
 class WanLink:
     """Unidirectional WAN pipe delivering payloads to a callback.
 
@@ -111,9 +120,9 @@ class WanLink:
     sweep across loss rates delivers the surviving frames at identical
     times and stays comparable frame-for-frame.
 
-    Counters (also read by telemetry as
-    ``wan.{sent,delivered,lost,retransmits,bytes_sent}[link]``) let
-    ``pipeline_report()`` close the conservation ledger across WAN hops.
+    Counters live in :attr:`stats` (a :class:`WanLinkStats`, read by
+    telemetry as ``wan.<field>[link]``); ``pipeline_report()`` closes the
+    conservation ledger across WAN hops from them.
     """
 
     def __init__(
@@ -141,15 +150,9 @@ class WanLink:
         self._free_at = 0.0
         self.faults = None
         self._rx_cache: Dict[object, _WanRx] = {}
-        self.sent = 0
-        self.delivered = 0
-        self.lost = 0
-        self.retransmits = 0
-        self.bytes_sent = 0
+        self.stats = WanLinkStats()
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        self.telemetry.register("wan", name, self, {
-            f: f for f in ("sent", "delivered", "lost", "retransmits",
-                           "bytes_sent")})
+        self.telemetry.register("wan", name, self.stats)
 
     def set_fault_injector(self, faults) -> None:
         """Interpose a :class:`~repro.net.faults.FaultInjector` on this
@@ -176,7 +179,8 @@ class WanLink:
         and copies it minted will arrive beyond ``sent`` — both adjust
         the balance so quiescence still reads zero.
         """
-        base = self.sent - self.delivered - self.lost
+        st = self.stats
+        base = st.sent - st.delivered - st.lost
         if self.faults is not None:
             base += self.faults.stats.duplicated - self.faults.stats.lost
         return base
@@ -197,16 +201,17 @@ class WanLink:
         tx_time = len(payload) * 8 / self.bandwidth_bps
         start = max(now, self._free_at)
         self._free_at = start + tx_time
-        self.sent += 1
-        self.bytes_sent += len(payload)
+        st = self.stats
+        st.sent += 1
+        st.bytes_sent += len(payload)
         if retransmit:
-            self.retransmits += 1
+            st.retransmits += 1
         # the jitter draw happens for *every* frame, before the loss draw
         # and from its own stream — a lost frame consumes its jitter value
         # so the survivors' delivery times are loss-rate-invariant
         jit = self._jitter_rng.uniform(0.0, self.jitter) if self.jitter else 0.0
         if self.loss_rate and self._loss_rng.random() < self.loss_rate:
-            self.lost += 1
+            st.lost += 1
             return False
         delay = (start + tx_time - now) + self.latency + jit
         if self.faults is not None:
@@ -226,7 +231,7 @@ class WanLink:
         return True
 
     def _deliver(self, payload: bytes, deliver: Callable[[bytes], None]):
-        self.delivered += 1
+        self.stats.delivered += 1
         deliver(payload)
 
     def reset(self) -> None:

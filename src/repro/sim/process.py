@@ -167,6 +167,14 @@ class Process:
         next-entry slot, when nothing else is due now)."""
         if not self.alive:
             return
+        if getattr(self._gen, "gi_running", False) and _current is not self:
+            # The generator runs but not from a step: the garbage collector
+            # is finalising this unreachable process, and its ``finally``
+            # woke it.  It finishes here; a step scheduled now would bring
+            # it back and throw into a closed generator mid-run.  (A
+            # generator stand-in without ``gi_running`` is never caught.)
+            self.alive = False
+            return
         self._clear_wait()
         self.sim.schedule_transient(0.0, self._step, value, exc)
 

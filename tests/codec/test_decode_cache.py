@@ -135,17 +135,15 @@ def test_hit_rate_reconciles_in_pipeline_report():
     stats = system.decode_cache.stats
     played = sum(n.stats.played for n in nodes)
     assert played > 0
-    assert report.decode_cache_hits == stats.hits
-    assert report.decode_cache_misses == stats.misses
-    assert report.decode_cache_evictions == stats.evictions
+    assert report.stats["decode_cache"] == stats
     # four unity-gain speakers on one channel: each block decodes once
     # and hits three times, so hits + misses == decoded blocks and the
     # hit rate approaches (N-1)/N
     assert stats.misses > 0
     assert stats.hits == stats.misses * (len(nodes) - 1)
-    assert report.decode_cache_hit_rate == pytest.approx(0.75)
+    assert report.stats["decode_cache"].hit_rate == pytest.approx(0.75)
     # the itemisation reaches the human-readable summary too
-    assert "decode cache hits" in report.summary()
+    assert "decode_cache.hits" in report.summary()
 
 
 def test_disabled_cache_reports_zero():
@@ -153,9 +151,8 @@ def test_disabled_cache_reports_zero():
     report = system.pipeline_report()
     stats = system.decode_cache.stats
     assert stats.hits == stats.misses == 0
-    assert report.decode_cache_hits == 0
-    assert report.decode_cache_misses == 0
-    assert "decode cache hits" not in report.summary()
+    assert report.stats["decode_cache"] == stats
+    assert "decode_cache.hits" not in report.summary()
 
 
 def test_shared_decode_playout_is_bit_identical():

@@ -131,10 +131,9 @@ def test_same_source_channels_hit_the_cache():
     # channel 0 encodes each block (miss), channel 1 reuses it (hit)
     assert stats.misses > 0
     assert stats.hits == stats.misses
-    assert report.encode_cache_hits == stats.hits
-    assert report.encode_cache_misses == stats.misses
-    assert report.encode_cache_hit_rate == pytest.approx(0.5)
-    assert "encode cache hits" in report.summary()
+    assert report.stats["encode_cache"] == stats
+    assert report.stats["encode_cache"].hit_rate == pytest.approx(0.5)
+    assert "encode_cache.hits" in report.summary()
     # both channels still delivered and played everything they sent
     for ch in report.channels:
         assert ch.played > 0
@@ -153,9 +152,8 @@ def test_disabled_cache_reports_zero():
     report = system.pipeline_report()
     stats = system.encode_cache.stats
     assert stats.hits == stats.misses == 0
-    assert report.encode_cache_hits == 0
-    assert report.encode_cache_misses == 0
-    assert "encode cache hits" not in report.summary()
+    assert report.stats["encode_cache"] == stats
+    assert "encode_cache.hits" not in report.summary()
 
 
 def test_raw_channel_bypasses_cache():

@@ -29,15 +29,14 @@ MEMBERS = 6
 STREAM_SECONDS = 3.0
 HORIZON = 9.0
 
-#: PipelineReport fields that describe simulated reality (must match),
-#: as opposed to host-side bookkeeping (may differ by construction)
+#: PipelineReport fields and kind rows that describe simulated reality
+#: (must match), as opposed to host-side bookkeeping (may differ by
+#: construction)
 PIPELINE_FIELDS = (
-    "underruns", "silence_seconds", "wire_drops", "wire_losses",
-    "injected_losses", "injected_duplicates", "injected_reordered",
-    "injected_corrupted", "injected_pending", "failovers", "standdowns",
-    "epoch_resyncs", "rejoins", "max_rejoin_gap",
-    "wan_lost_deliveries", "wan_extra_deliveries",
+    "underruns", "silence_seconds", "injected_pending", "rejoins",
+    "max_rejoin_gap", "wan_lost_deliveries", "wan_extra_deliveries",
 )
+PIPELINE_KINDS = ("speaker", "segment", "lan_faults", "failover")
 
 
 def add_fleet(system, cohort, channel, members, **speaker_kwargs):
@@ -122,6 +121,9 @@ def assert_ledgers_identical(report_a, report_b):
         assert getattr(report_a, f) == getattr(report_b, f), \
             f"pipeline.{f}: {getattr(report_a, f)!r} != " \
             f"{getattr(report_b, f)!r}"
+    for kind in PIPELINE_KINDS:
+        row_a, row_b = report_a.stats.get(kind), report_b.stats.get(kind)
+        assert row_a == row_b, f"pipeline {kind}: {row_a} != {row_b}"
     assert report_a.conservation_residual == report_b.conservation_residual
     assert report_a.conservation_ok and report_b.conservation_ok
 

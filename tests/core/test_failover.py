@@ -61,7 +61,7 @@ def test_takeover_after_primary_crash():
         # playback genuinely resumed after the handover
         assert st.play_log[-1][1] > 7.0
     report = system.pipeline_report()
-    assert report.failovers == 1
+    assert report.stats["failover"].takeovers == 1
     assert report.conservation_ok
 
 

@@ -86,10 +86,11 @@ def test_wire_duplication_plays_every_block_exactly_once():
     assert played_bytes(node) == b"".join(p.payload for p in captured)
     assert_clean_playout(node, captured)
     rep = system.pipeline_report()
-    assert rep.injected_duplicates == inj.stats.duplicated
+    assert rep.stats["lan_faults"].duplicated == inj.stats.duplicated
     assert rep.conservation_ok
     # extra minted copies push the residual negative, never below -dups
-    assert -rep.injected_duplicates <= rep.conservation_residual < 0
+    dups = rep.stats["lan_faults"].duplicated
+    assert -dups <= rep.conservation_residual < 0
 
 
 # -- reordering ----------------------------------------------------------------
@@ -106,7 +107,7 @@ def test_wire_reordering_never_plays_out_of_order():
     assert node.stats.seq_gaps > 0  # the holes the held copies left
     assert_clean_playout(node, captured)
     rep = system.pipeline_report()
-    assert rep.injected_reordered == inj.stats.reordered
+    assert rep.stats["lan_faults"].reordered == inj.stats.reordered
     assert rep.injected_pending == 0  # nothing dangles at quiescence
     assert rep.conservation_ok
     # reordered copies all arrived: the residual closes to zero
@@ -130,11 +131,11 @@ def test_burst_loss_concealed_and_itemised():
     assert positions == sorted(positions)
     assert len(positions) == len(set(positions))
     rep = system.pipeline_report()
-    assert rep.injected_losses == inj.stats.lost
+    assert rep.stats["lan_faults"].lost == inj.stats.lost
     assert rep.conservation_ok
     # data-copy losses are inside the itemised injected losses (which
     # also count lost control copies)
-    assert 0 < rep.conservation_residual <= rep.injected_losses
+    assert 0 < rep.conservation_residual <= rep.stats["lan_faults"].lost
 
 
 def test_burst_losses_cluster_on_the_wire():
@@ -178,7 +179,7 @@ def test_corruption_survivable_and_accounted():
     # are dropped as garbage when the header was hit; both are visible
     assert got != reference
     rep = system.pipeline_report()
-    assert rep.injected_corrupted == inj.stats.corrupted
+    assert rep.stats["lan_faults"].corrupted == inj.stats.corrupted
     assert rep.conservation_ok
 
 
@@ -267,12 +268,12 @@ def test_acceptance_mixed_faults_scenario():
     assert st.lost > 0 and st.duplicated > 0 and st.reordered > 0
     assert_clean_playout(node, captured)
     rep = system.pipeline_report()
-    assert rep.injected_losses == st.lost
-    assert rep.injected_duplicates == st.duplicated
-    assert rep.injected_reordered == st.reordered
+    assert rep.stats["lan_faults"].lost == st.lost
+    assert rep.stats["lan_faults"].duplicated == st.duplicated
+    assert rep.stats["lan_faults"].reordered == st.reordered
     assert rep.injected_pending == 0
     assert rep.conservation_ok
-    assert "injected losses" in rep.summary()
+    assert "lan_faults.lost" in rep.summary()
 
 
 def test_mixed_faults_ledger_closes_without_telemetry():

@@ -94,7 +94,7 @@ def test_supervise_restarts_a_crashed_node_exactly_once(target):
     assert sup.stats.restarts == 1
     assert health.restarts == 1
     assert node.healthy()
-    assert system.pipeline_report().node_restarts == 1
+    assert system.pipeline_report().stats["supervisor"].restarts == 1
 
 
 def test_supervised_relay_forwards_again():

@@ -15,9 +15,12 @@ from repro.metrics.telemetry import (
     PipelineReport,
     Telemetry,
     get_telemetry,
+    int_fields,
     log_buckets,
     set_default,
+    sum_stats,
 )
+from repro.net.segment import SegmentStats
 
 
 @dataclass
@@ -262,11 +265,37 @@ def test_pipeline_report_conservation_bounds_wire_loss():
     ch = ChannelReport(
         name="x", channel_id=1, speakers=2, data_sent=10, data_received=17,
     )
-    rep = PipelineReport(duration=1.0, channels=[ch], wire_drops=2)
+    segment = SegmentStats(frames_dropped=2)
+    rep = PipelineReport(duration=1.0, channels=[ch],
+                         stats={"segment": segment})
     assert rep.conservation_residual == 3
     assert rep.conservation_ok  # 3 <= 2 wire drops * 2 speakers
-    rep.wire_drops = 1
+    segment.frames_dropped = 1
     assert not rep.conservation_ok  # 3 > 1 * 2: packets truly unaccounted
+
+
+def test_sum_stats_adds_int_fields_and_defaults_the_rest():
+    assert int_fields(Stats) == ("sent", "sent_failures")
+    row = sum_stats(Stats, [Stats(1, 2, 0.5), Stats(3, 4, 0.25)])
+    assert row == Stats(sent=4, sent_failures=6)
+    assert sum_stats(Stats, []) == Stats()
+    doubled = sum_stats(Stats, ["a", "bc"], lambda s, f: len(s))
+    assert doubled == Stats(sent=3, sent_failures=3)
+
+
+def test_pipeline_report_summary_renders_any_kind_row():
+    """A kind row needs no code in the report: every int field of a row
+    with a nonzero field is printed, and an all-zero row is not."""
+    rep = PipelineReport(duration=1.0, stats={
+        "stub": Stats(sent=7, sent_failures=0, mean_depth=2.5),
+        "idle": Stats(),
+    })
+    text = rep.summary()
+    assert "stub.sent " in text and "stub.sent_failures" in text
+    assert "mean_depth" not in text
+    assert "idle." not in text
+    assert rep.count("stub", "sent") == 7
+    assert rep.count("absent", "sent") == 0
 
 
 def test_pipeline_report_summary_renders():

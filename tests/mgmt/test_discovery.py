@@ -414,8 +414,8 @@ def test_lease_expiry_drives_exactly_one_restart():
     assert node.speaker._proc is not None and node.speaker._proc.alive
     assert controller.find("onceonly").state == ENT_AVAILABLE
     report = system.pipeline_report()
-    assert report.node_restarts == 1
-    assert report.adp_expiries >= 1
+    assert report.stats["supervisor"].restarts == 1
+    assert report.stats["controller"].expiries >= 1
 
 
 def test_lease_expiry_for_live_node_is_ignored():
@@ -457,16 +457,16 @@ def test_pipeline_report_itemises_control_plane_counters():
     system.play_pcm(producer, sine(440, 1.0, 8000), LOW, start_after=2.0)
     system.run(until=5.0)
     report = system.pipeline_report()
-    assert report.adp_advertises > 0
-    assert report.acmp_connects == 1
-    assert report.acmp_failures == 0
-    assert report.enumerations >= 1
-    assert report.adp_expiries == 0
+    assert report.stats["advertiser"].advertises > 0
+    assert report.stats["controller"].acmp_connects == 1
+    assert report.stats["controller"].acmp_failures == 0
+    assert report.stats["controller"].enumerations >= 1
+    assert report.stats["controller"].expiries == 0
     # the control plane lives out of band: the audio ledger stays closed
     assert report.conservation_ok
     summary = report.summary()
-    assert "acmp connects" in summary
-    assert "adp advertises" in summary
+    assert "controller.acmp_connects" in summary
+    assert "advertiser.advertises" in summary
 
 
 def test_unadvertised_speaker_cannot_be_connected():

@@ -27,13 +27,13 @@ STREAM_SECONDS = 3.0
 STREAM_START = 2.5       # every ACMP transaction settles long before this
 HORIZON = 8.0
 
-#: PipelineReport fields describing the simulated audio path (must match)
+#: PipelineReport fields and kind rows describing the simulated audio
+#: path (must match)
 PIPELINE_FIELDS = (
-    "underruns", "silence_seconds", "wire_drops", "wire_losses",
-    "injected_losses", "injected_duplicates", "injected_reordered",
-    "injected_corrupted", "injected_pending",
-    "epoch_resyncs", "rejoins", "max_rejoin_gap",
+    "underruns", "silence_seconds", "injected_pending", "rejoins",
+    "max_rejoin_gap",
 )
+PIPELINE_KINDS = ("speaker", "segment", "lan_faults")
 
 
 def build(dynamic, scenario, seed):
@@ -107,11 +107,14 @@ def test_dynamic_fleet_matches_static_fleet(scenario, seed):
         assert getattr(rep_dyn, f) == getattr(rep_sta, f), \
             f"pipeline.{f}: {getattr(rep_dyn, f)!r} != " \
             f"{getattr(rep_sta, f)!r}"
+    for kind in PIPELINE_KINDS:
+        row_a, row_b = rep_dyn.stats.get(kind), rep_sta.stats.get(kind)
+        assert row_a == row_b, f"pipeline {kind}: {row_a} != {row_b}"
     assert rep_dyn.conservation_residual == rep_sta.conservation_residual
     assert rep_dyn.conservation_ok and rep_sta.conservation_ok
     # the control plane itself shows up only in the out-of-band counters
-    assert rep_dyn.acmp_connects == MEMBERS
-    assert rep_sta.acmp_connects == 0
+    assert rep_dyn.stats["controller"].acmp_connects == MEMBERS
+    assert rep_sta.count("controller", "acmp_connects") == 0
     assert rep_dyn.adp_advertises > 0 and rep_sta.adp_advertises > 0
 
 

@@ -55,7 +55,7 @@ def test_crashed_speaker_is_detected_and_restarted():
     assert len(node.stats.rejoin_gaps) == 1
     # detection + restart happened within a few scan intervals
     assert node.stats.rejoin_gaps[0] < 3.0
-    assert system.pipeline_report().node_restarts == 1
+    assert system.pipeline_report().stats["supervisor"].restarts == 1
 
 
 def test_hung_speaker_with_halted_cpu_starves_the_beat():

@@ -82,12 +82,12 @@ def test_fec_differential_bit_identical_with_zero_reverse_traffic():
         # zero reverse traffic: FEC-only never NACKs, never retransmits
         assert hop.stats.nacks_sent == 0
         assert hop.stats.retransmitted == 0
-        assert hop.link.retransmits == 0
+        assert hop.link.stats.retransmits == 0
         assert hop.fec.unrepairable == 0
         assert hop.stats.abandoned == 0
     rep = s1.pipeline_report()
-    assert rep.wan_fec_sent > 0
-    assert rep.wan_fec_repaired == repaired
+    assert rep.stats["fec"].parity_sent > 0
+    assert rep.stats["fec"].repaired == repaired
     assert rep.conservation_residual == 0, rep.summary()
 
 
@@ -108,8 +108,8 @@ def test_fec_above_capacity_holes_bounded_ledger_closed():
     positions = [t for t, _ in spk.stats.play_log]
     assert all(b > a for a, b in zip(positions, positions[1:]))
     rep = s.pipeline_report()
-    assert rep.wan_fec_sent > 0
-    assert "wan fec" in rep.summary()
+    assert rep.stats["fec"].parity_sent > 0
+    assert "fec.parity_sent" in rep.summary()
     assert rep.conservation_ok, rep.summary()
 
 
@@ -160,11 +160,12 @@ def test_wan_fault_chain_corruption_duplication_reorder():
     # here) or parses as stale (dup of a delivered seq) — never forwarded
     assert hop.stats.corrupt_dropped > 0
     rep = s.pipeline_report()
-    assert rep.wan_injected_losses == inj.lost
-    assert rep.wan_injected_duplicates == inj.duplicated
-    assert rep.wan_injected_corrupted == inj.corrupted
-    assert rep.wan_injected_reordered == inj.reordered
-    assert rep.wan_corrupt_dropped == hop.stats.corrupt_dropped
+    wan_faults = rep.stats["wan_faults"]
+    assert wan_faults.lost == inj.lost
+    assert wan_faults.duplicated == inj.duplicated
+    assert wan_faults.corrupted == inj.corrupted
+    assert wan_faults.reordered == inj.reordered
+    assert rep.stats["wan_hop"].corrupt_dropped == hop.stats.corrupt_dropped
     assert rep.conservation_ok, rep.summary()
     assert spk.stats.played > 100
 

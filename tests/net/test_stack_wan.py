@@ -159,7 +159,7 @@ def test_wan_loss():
         wan.send(b"x", lambda p: got.append(p))
     sim.run()
     assert 60 <= len(got) <= 140
-    assert wan.lost == 200 - len(got)
+    assert wan.stats.lost == 200 - len(got)
 
 
 def test_wan_jitter_varies_arrivals():

@@ -59,11 +59,12 @@ def test_wan_telemetry_counters():
     for _ in range(200):
         wan.send(b"x", lambda p: got.append(p))
     sim.run()
-    assert wan.sent == 200
-    assert wan.delivered == len(got)
-    assert wan.lost == 200 - len(got)
-    assert wan.sent == wan.delivered + wan.lost
-    assert wan.retransmits == 0
+    st = wan.stats
+    assert st.sent == 200
+    assert st.delivered == len(got)
+    assert st.lost == 200 - len(got)
+    assert st.sent == st.delivered + st.lost
+    assert st.retransmits == 0
     assert wan.in_flight == 0
 
 
@@ -73,8 +74,8 @@ def test_wan_retransmit_counter_separated():
     wan.send(b"a", lambda p: None)
     wan.send(b"a", lambda p: None, retransmit=True)
     sim.run()
-    assert wan.sent == 2
-    assert wan.retransmits == 1
+    assert wan.stats.sent == 2
+    assert wan.stats.retransmits == 1
 
 
 def test_wan_reset_cold_starts_serialization():
@@ -213,13 +214,14 @@ def test_nack_recovers_lost_frames():
     hop = s1.wan_hops[0]
     assert hop.stats.nacks_sent > 0
     assert hop.stats.recovered > 0
-    assert hop.link.retransmits == hop.stats.retransmitted > 0
+    assert hop.link.stats.retransmits == hop.stats.retransmitted > 0
     assert spk1.stats.played > spk0.stats.played
     rep = s1.pipeline_report()
-    assert rep.wan_retransmits == hop.link.retransmits
+    assert rep.stats["wan_link"].retransmits == hop.link.stats.retransmits
     assert rep.conservation_ok, rep.summary()
     # With every first-copy loss recovered, the ledger closes exactly.
-    if hop.stats.abandoned == 0 and hop.link.lost == hop.stats.recovered:
+    if (hop.stats.abandoned == 0
+            and hop.link.stats.lost == hop.stats.recovered):
         assert rep.conservation_residual == 0
 
 
@@ -229,8 +231,9 @@ def test_conservation_closes_across_lossy_multihop():
     s.play_synthetic(p, 8.0, LOW)
     s.run(until=10.0)
     rep = s.pipeline_report()
-    assert rep.wan_lost > 0, "links not lossy; test is vacuous"
-    assert rep.wan_sent == rep.wan_delivered + rep.wan_lost + rep.wan_in_flight
+    link = rep.stats["wan_link"]
+    assert link.lost > 0, "links not lossy; test is vacuous"
+    assert link.sent == link.delivered + link.lost + rep.wan_in_flight
     assert rep.conservation_ok, rep.summary()
 
 
@@ -275,9 +278,9 @@ def test_relay_fallback_and_standdown():
     last_play = spk.stats.play_log[-1][0]
     assert last_play > 11.0
     rep = s.pipeline_report()
-    assert rep.relay_fallbacks == 1
-    assert rep.relay_standdowns == 1
-    assert rep.relay_filler == edge.stats.filler_data
+    assert rep.stats["relay"].fallbacks == 1
+    assert rep.stats["relay"].standdowns == 1
+    assert rep.stats["relay"].filler_data == edge.stats.filler_data
     assert rep.conservation_ok, rep.summary()
 
 

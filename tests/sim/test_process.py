@@ -1,5 +1,7 @@
 """Processes: spawning, sleeping, composition, kill, timeouts."""
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -194,6 +196,30 @@ def test_kill_is_catchable():
     sim.schedule(1.0, p.kill)
     sim.run()
     assert p.result == "survived"
+
+
+def test_collected_process_finishes_without_waking_itself():
+    # The process and its queue reference only each other, so the
+    # collector finalises the generator; its ``finally`` closes the queue,
+    # which wakes the dying process.  That wake must schedule nothing.
+    sim = Simulator()
+    closed = []
+
+    def body(q):
+        try:
+            yield q.get()
+        finally:
+            q.close()
+            closed.append(sim.now)
+
+    spawn(sim, body(Queue()))
+    sim.run(until=1.0)
+    assert sim.pending() == 0
+    gc.collect()
+    assert closed == [1.0]
+    assert sim.pending() == 0
+    sim.run(until=2.0)
+    assert sim.now == 2.0
 
 
 def test_timeout_fires_on_slow_wait():

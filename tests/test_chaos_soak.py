@@ -614,7 +614,7 @@ def test_fec_ladder_scenario(kind, recovery, seed):
         assert hop.stats.abandoned == 0
         if recovery == "fec":
             assert hop.stats.nacks_sent == 0
-            assert hop.link.retransmits == 0
+            assert hop.link.stats.retransmits == 0
     elif kind == "above":
         assert hop.stats.abandoned > 0      # holes exist and were bounded
         assert hop.fec.repaired > 0         # the repairable part repaired

@@ -12,7 +12,10 @@ controller on the management segment.
   off;
 * **one source of truth**: with telemetry on, ``tel.total("kind.field")``
   is exactly the sum of ``field`` over the components of that kind, and
-  no other counter exists.
+  no other counter exists;
+* **one row per kind**: each ``pipeline_report().stats`` row is the
+  field-wise sum of its components' stats dataclasses, and equals the
+  telemetry totals of the kind registered under the same dataclass.
 """
 
 from dataclasses import asdict, fields
@@ -48,7 +51,7 @@ def _composed(telemetry: bool) -> EthernetSpeakerSystem:
     system.play_pcm(origin, music(4.0, 8000, seed=1), NARROW)
     # primary + warm standby, a supervised listener, a controller
     live_src = system.add_producer(name="live")
-    live = system.add_channel("live", params=NARROW, compress="never")
+    live = system.add_channel("live", params=NARROW, compress="always")
     primary = system.add_rebroadcaster(live_src, live, control_interval=0.5)
     system.add_standby(live_src, live, takeover_timeout=1.0,
                        check_interval=0.2, control_interval=0.5)
@@ -95,18 +98,98 @@ def _report_counts(system) -> dict:
     """``pipeline_report()`` minus what telemetry itself measures (the
     histogram snapshots and the trace event count)."""
     return {k: v for k, v in asdict(system.pipeline_report()).items()
-            if not isinstance(v, dict) and k != "trace_events"}
+            if (k == "stats" or not isinstance(v, dict))
+            and k != "trace_events"}
+
+
+def _kind_sources(system) -> dict:
+    """Report kind -> the stats objects its row must sum, gathered here
+    independently of ``pipeline_report``."""
+    hops = system.wan_hops
+    speakers = [n.speaker.stats for n in system.speakers]
+    for cohort in system.cohorts:
+        speakers += [cohort.member_stats(i) for i in range(cohort.members)]
+    return {
+        "speaker": speakers,
+        "segment": [l.stats for l in system.lans],
+        "lan_faults": [f.stats for f in system.fault_injectors],
+        "wan_link": [h.link.stats for h in hops],
+        "wan_hop": [h.stats for h in hops],
+        "wan_faults": [f.stats for f in system.wan_fault_injectors],
+        "fec": [h.fec for h in hops],
+        "relay": [r.stats for r in system.relays],
+        "failover": [s.stats for s in system.standbys],
+        "supervisor": [s.stats for s in system.supervisors],
+        "controller": [c.stats for c in system.controllers],
+        "advertiser": [a.stats for a in system.advertisers],
+        "decode_cache": [system.decode_cache.stats],
+        "encode_cache": [system.encode_cache.stats],
+    }
+
+
+#: report kind -> the telemetry kind registered under the same dataclass
+TELEMETRY_KINDS = {
+    "wan_link": "wan",
+    "relay": "relay",
+    "failover": "failover",
+    "controller": "ctl",
+    "advertiser": "adp",
+    "decode_cache": "codec.cache",
+    "encode_cache": "codec.encode_cache",
+}
 
 
 def test_scenario_exercises_every_counted_component(on):
     rep = on.pipeline_report()
-    assert rep.failovers == 1
+    # every kind has a component, and every row counted something
+    assert set(rep.stats) == set(_kind_sources(on))
+    for kind, row in rep.stats.items():
+        assert any(getattr(row, f) for f in _int_fields(row)), kind
+    assert rep.stats["failover"].takeovers == 1
     assert rep.cohort_spills > 0
-    assert rep.node_restarts > 0
-    assert rep.wan_fec_repaired > 0 and rep.wan_nacks > 0
-    assert rep.injected_losses > 0 and rep.wan_injected_losses > 0
-    assert rep.adp_advertises > 0
+    assert rep.stats["supervisor"].restarts > 0
+    assert rep.stats["fec"].repaired > 0
+    assert rep.stats["wan_hop"].nacks_sent > 0
+    assert rep.stats["lan_faults"].lost > 0
+    assert rep.stats["wan_faults"].lost > 0
+    assert rep.stats["advertiser"].advertises > 0
     assert rep.conservation_ok
+
+
+def test_kind_rows_are_component_sums(on):
+    rep = on.pipeline_report()
+    for kind, objs in _kind_sources(on).items():
+        row = rep.stats[kind]
+        assert all(type(o) is type(row) for o in objs), kind
+        for field in _int_fields(row):
+            assert getattr(row, field) == sum(
+                getattr(o, field) for o in objs), f"{kind}.{field}"
+
+
+def test_kind_rows_equal_telemetry_totals(on):
+    tel, rep = on.telemetry, on.pipeline_report()
+    for kind, tel_kind in TELEMETRY_KINDS.items():
+        row = rep.stats[kind]
+        for field in _int_fields(row):
+            assert tel.total(f"{tel_kind}.{field}") == getattr(row, field), \
+                f"{kind}.{field}"
+    lan, wan = rep.stats["lan_faults"], rep.stats["wan_faults"]
+    for field in _int_fields(lan):
+        assert tel.total(f"faults.{field}") == \
+            getattr(lan, field) + getattr(wan, field), field
+
+
+def test_report_perfbench_properties_read_the_rows(on):
+    rep = on.pipeline_report()
+    assert (rep.wan_sent, rep.wan_lost, rep.wan_retransmits) == (
+        rep.stats["wan_link"].sent, rep.stats["wan_link"].lost,
+        rep.stats["wan_link"].retransmits)
+    assert rep.wan_injected_losses == rep.stats["wan_faults"].lost
+    assert rep.wan_nacks == rep.stats["wan_hop"].nacks_sent
+    assert rep.failovers == rep.stats["failover"].takeovers
+    assert rep.adp_advertises == rep.stats["advertiser"].advertises
+    assert rep.adp_expiries == rep.stats["controller"].expiries
+    assert rep.adp_departs == rep.stats["controller"].departs
 
 
 def test_telemetry_on_equals_off(on, off):
@@ -136,6 +219,7 @@ def test_counter_totals_are_component_sums(on):
         "supervisor": [h for s in on.supervisors for h in s.nodes.values()],
         "codec.cache": [on.decode_cache.stats],
         "codec.encode_cache": [on.encode_cache.stats],
+        "wan": [h.link.stats for h in on.wan_hops],
     }
     expected = {}
     for kind, objs in groups.items():
@@ -144,9 +228,6 @@ def test_counter_totals_are_component_sums(on):
     devices = [sp.machine.devices["/dev/audio"] for sp in speakers]
     for field in ("underruns", "hiwat_blocks"):
         expected[f"audio.{field}"] = sum(getattr(d, field) for d in devices)
-    links = [h.link for h in on.wan_hops]
-    for field in ("sent", "delivered", "lost", "retransmits", "bytes_sent"):
-        expected[f"wan.{field}"] = sum(getattr(l, field) for l in links)
     expected["net.frames"] = on.monitor.frames
     expected["net.wire_bytes"] = on.monitor.total_wire_bytes
     expected["sim.events"] = on.sim.events_executed
