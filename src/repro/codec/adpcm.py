@@ -116,7 +116,7 @@ class AdpcmCodec(BlockCodec):
 
     codec_id = CodecID.ADPCM
 
-    def encode_block(self, samples: np.ndarray) -> bytes:
+    def _encode_one(self, samples: np.ndarray) -> bytes:
         x = np.asarray(samples, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
@@ -134,7 +134,7 @@ class AdpcmCodec(BlockCodec):
             bodies.append(body)
         return b"".join(h + b for h, b in zip(headers, bodies))
 
-    def decode_block(self, data: bytes) -> np.ndarray:
+    def _decode_one(self, data: bytes) -> np.ndarray:
         offset = 0
         planes = []
         channels = 1

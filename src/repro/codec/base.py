@@ -10,9 +10,13 @@ the periodic control packet (§2.3).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict
+from typing import Callable, Dict, Hashable, List, Optional
 
 import numpy as np
+
+from repro.audio.encodings import encode_samples
+from repro.codec.cache import DecodedBlock
+from repro.codec.queue import CodecQueue
 
 
 class CodecID(enum.IntEnum):
@@ -31,15 +35,82 @@ class BlockCodec:
     [-1, 1] and returns wire bytes; ``decode_block`` inverts it.  Blocks are
     independent: losing one packet never corrupts the next (required for a
     multicast receiver with no retransmission path).
+
+    Both run through :attr:`queue` (see :mod:`repro.codec.queue`): a
+    block is computed together with every block of its group handed over
+    so far, by the group kernels ``encode_blocks``/``decode_blocks``.  A
+    codec computes its blocks one at a time (``_encode_one`` /
+    ``_decode_one``) unless it overrides them.
     """
 
     codec_id: CodecID
 
+    #: the queue this codec's blocks are handed to: the owning
+    #: component's, or one of its own made on first use
+    queue: Optional[CodecQueue] = None
+
     def encode_block(self, samples: np.ndarray) -> bytes:
+        """The block's wire bytes."""
+        return self._queue().take(self, "encode", samples)
+
+    def decode_block(self, data: bytes, params=None):
+        """The block's samples; with ``params`` (the device's
+        :class:`~repro.audio.params.AudioParams`) a
+        :class:`~repro.codec.cache.DecodedBlock` of PCM in that format."""
+        return self._queue().take(self, "decode", data, params)
+
+    def _queue(self) -> CodecQueue:
+        if self.queue is None:
+            self.queue = CodecQueue()
+        return self.queue
+
+    def batch_key(self, op: str) -> Hashable:
+        """Codecs with equal keys compute ``op`` ("encode"/"decode")
+        identically, so their blocks share groups.  By default every
+        codec instance is its own group."""
+        return id(self)
+
+    def encode_blocks(self, blocks: List[np.ndarray]) -> list:
+        """Each block's wire bytes, or the exception it raises alone."""
+        return [_attempt(self._encode_one, b) for b in blocks]
+
+    def decode_blocks(self, payloads: list, params=None) -> list:
+        """Each payload's :meth:`decode_block` result, or the exception
+        it raises alone."""
+        out = [_attempt(self._decode_one, data) for data in payloads]
+        if params is None:
+            return out
+        return [r if isinstance(r, Exception)
+                else _attempt(lambda s: decoded_blocks(s[None], params)[0], r)
+                for r in out]
+
+    def _encode_one(self, samples: np.ndarray) -> bytes:
         raise NotImplementedError
 
-    def decode_block(self, data: bytes) -> np.ndarray:
+    def _decode_one(self, data: bytes) -> np.ndarray:
         raise NotImplementedError
+
+
+def _attempt(fn, arg):
+    """``fn(arg)``, or the exception it raised."""
+    try:
+        return fn(arg)
+    except Exception as exc:  # noqa: BLE001 — the member's own outcome
+        return exc
+
+
+def decoded_blocks(samples: np.ndarray, params) -> List[DecodedBlock]:
+    """Blocks of decoded samples ``(blocks, frames, channels)`` as PCM in
+    ``params``' format plus each block's RMS, in one conversion."""
+    n, frames, channels = samples.shape
+    pcm = encode_samples(samples.reshape(-1, channels), params)
+    size = len(pcm) // n
+    if frames == 0:
+        # an empty block leaves the speaker's last RMS untouched
+        return [DecodedBlock(pcm=b"", rms=None)] * n
+    rms = np.sqrt(np.mean(np.square(samples.reshape(n, -1)), axis=1))
+    return [DecodedBlock(pcm=pcm[i * size : (i + 1) * size], rms=r)
+            for i, r in enumerate(rms.tolist())]
 
 
 _REGISTRY: Dict[CodecID, Callable[..., BlockCodec]] = {}

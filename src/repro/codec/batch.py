@@ -5,27 +5,33 @@ implementation of the band wire format that both transform codecs
 (:mod:`repro.codec.vorbislike`, :mod:`repro.codec.mp3like`) run.  At
 station scale — tens of channels encoding concurrently on one origin
 machine — per-frame, per-band Python loops would be the dominant host
-cost, so it does no per-bit work on the fixed-width path:
+cost, so it does no per-bit work on the fixed-width path.  The frames
+need not come from one block: the codecs stack every frame of a group
+of blocks into one call (see :mod:`repro.codec.queue`), and because
+every part is byte-aligned each block's body is a slice of the output.
 
-* :func:`encode_bands_batched` quantises all frames × bands of a block
-  as 2-D numpy ops, then writes the whole body as **one stream of
-  (value, width) tokens**: per part a header token (16 bits of
-  ``width<<8 | exponent`` when active, 8 zero bits when not), the
-  coefficients in offset binary at the band's width, and a pad token
-  that byte-aligns the part.  One ``np.insert`` interleaves the part
-  tokens with the coefficients, one ``np.unpackbits`` expands every
-  token to a 16-bit row, one gather keeps each token's low ``width``
-  bits, and one ``np.packbits`` emits the wire bytes.
+* :func:`encode_bands_batched` quantises all frames × bands as 2-D numpy
+  ops.  A part is a tag byte and an exponent byte when active (one zero
+  byte when not), then its coefficients in offset binary at the band's
+  width, padded to a byte.  The part sizes give every part's byte
+  offset, and so every field's bit offset.  The **byte packer** writes
+  the fields: a field of up to 16 bits at bit 0..15 of a big-endian
+  16-bit cell lies in the 32-bit window of that cell and the next, and
+  two ``np.bincount`` calls add each window's two cells into the output
+  — fields never share a bit, so the sum is their OR.  Inactive bands'
+  fields are zero-width zeros and add nothing.
 * :func:`decode_bands_batched` walks only the band *descriptors* in
   Python (a few dozen tag bytes per frame), then reads every fixed-width
-  field of the block at once from a 24-bit big-endian window of the
-  payload, ``b[i]<<16 | b[i+1]<<8 | b[i+2]`` at ``i = bitpos >> 3`` —
-  exact for widths up to 16.  Rice bands go through the vectorised
+  field at once from a 24-bit big-endian window of the payload,
+  ``b[i]<<16 | b[i+1]<<8 | b[i+2]`` at ``i = bitpos >> 3`` — exact for
+  widths up to 16.  :func:`walk_bands` and :func:`read_bands` are its
+  two halves, so a group's payloads are walked one by one and read in
+  one call.  Rice bands go through the vectorised
   :func:`~repro.codec.rice.rice_decode`.
 
 Everything that depends only on the band edges and the frame count —
-the bin → band map, insert positions, part start bins — is computed
-once per ``(edges, n_frames)`` and cached.
+the bin → band map, part start bins, the walk's size tables — is
+computed once per ``(edges, n_frames)`` and cached.
 
 The format is defined by scalar per-frame, per-band walks, kept as the
 oracle in ``tests/oracles/codec.py``.  Wire bytes and decoded samples
@@ -71,11 +77,13 @@ class _Layout(NamedTuple):
     counts: np.ndarray     # bins per band
     starts: np.ndarray     # first bin of each band
     band_of: np.ndarray    # band of each bin
-    inserts: np.ndarray    # token-stream slots: every pad, every header
-    row_end: np.ndarray    # 16 * (token index + 1): end of its bit row
     part_first: np.ndarray  # flat (frame, bin) index of a part's first bin
     part_count: np.ndarray  # bins in each part
-    within: np.ndarray     # each flat (frame, bin)'s index in its band
+    within: np.ndarray     # each bin's index in its band (one frame)
+    #: per part, the part's size in bytes for each tag byte value: 1 for
+    #: tag 0, the descriptors plus the payload for widths 1..16, and 0
+    #: for the tags the fast walk leaves to the exact one (Rice, > 16)
+    sizes: tuple
 
 
 @lru_cache(maxsize=32)
@@ -83,31 +91,31 @@ def _layout(edges: tuple, n_frames: int) -> _Layout:
     edges_a = np.array(edges, dtype=np.int64)
     counts = np.diff(edges_a)
     n_bins = int(edges_a[-1])
-    band_of = np.repeat(np.arange(len(counts)), counts)
     frame0 = (np.arange(n_frames, dtype=np.int64) * n_bins)[:, None]
-    part_first = (frame0 + edges_a[:-1]).reshape(-1)
-    # every pad goes after its part's last coefficient, every header
-    # before its first; np.insert keeps equal positions in the order
-    # given, so listing the pads first puts each pad before the next
-    # part's header
-    inserts = np.concatenate([(frame0 + edges_a[1:]).reshape(-1), part_first])
-    n_tokens = n_frames * n_bins + len(inserts)
     layout = _Layout(
         n_bins=n_bins,
         count_list=tuple(counts.tolist()),
         counts=counts,
         starts=edges_a[:-1],
-        band_of=band_of,
-        inserts=inserts,
-        row_end=16 * np.arange(1, n_tokens + 1, dtype=np.int64),
-        part_first=part_first,
+        band_of=np.repeat(np.arange(len(counts)), counts),
+        part_first=(frame0 + edges_a[:-1]).reshape(-1),
         part_count=np.tile(counts, n_frames),
-        within=np.tile(np.arange(n_bins) - np.repeat(edges_a[:-1], counts),
-                       n_frames),
+        within=(np.arange(n_bins)
+                - np.repeat(edges_a[:-1], counts)).astype(np.int32),
+        sizes=_part_sizes(tuple(counts.tolist())) * n_frames,
     )
-    for arr in layout[2:]:
+    for arr in layout[2:-1]:
         arr.flags.writeable = False  # shared by every call
     return layout
+
+
+@lru_cache(maxsize=32)
+def _part_sizes(counts: tuple) -> tuple:
+    return tuple(
+        (1,) + tuple(2 + ((w * c + 7) >> 3) for w in range(1, 17))
+        + (0,) * (256 - 17)
+        for c in counts
+    )
 
 
 def _edges_key(edges) -> tuple:
@@ -141,13 +149,23 @@ def encode_bands_batched(
         offer each active band the adaptive Rice option, exactly like
         ``entropy="rice"``.
     """
+    return encode_parts(coeffs, edges, widths, min_width=min_width,
+                        use_rice=use_rice)[0].tobytes()
+
+
+def encode_parts(coeffs, edges, widths, *, min_width: int = 1,
+                 use_rice: bool = False):
+    """:func:`encode_bands_batched` as ``(body, frame_at)``: the body as
+    a ``uint8`` array and the byte offset of every frame's first part,
+    so the body of frames ``i..j`` is ``body[frame_at[i]:frame_at[j]]``
+    (``frame_at`` has one more entry, the body's length)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     n_frames, n_bins = coeffs.shape
     if n_frames == 0:
-        return b""
+        return np.zeros(0, dtype=np.uint8), np.zeros(1, dtype=np.int64)
     widths = np.asarray(widths, dtype=np.int64)
     if widths.max() > 16:
-        # a token is one 16-bit row, as the fixed-width packer's limit
+        # a field is read from a 24-bit window: 16 bits at most
         raise ValueError(f"width out of range: {int(widths.max())}")
     lay = _layout(_edges_key(edges), n_frames)
     band_of = lay.band_of
@@ -171,28 +189,39 @@ def encode_bands_batched(
 
     top = (1 << (np.maximum(widths, 1) - 1)) - 1
     # exponent = ceil(log2(amax / top)), clipped — elementwise ufuncs,
-    # identical to the per-band scalar expression (log2 of inactive
-    # bands' garbage is clipped away and masked to 0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        exponent = np.ceil(np.log2(amax / top))
+    # identical to the per-band scalar expression.  Only active bands
+    # reach the log (inactive ones are masked to 0), and a width-1 band
+    # (top 0) divides by zero: +inf, clipped to 120.
+    exponent = np.ceil(np.log2(np.where(active, amax, 1.0)
+                               / np.maximum(top, 1)))
     exponent = np.where(
-        active, np.minimum(np.maximum(exponent, -120.0), 120.0), 0.0
-    )
-    exponent = exponent.astype(np.int64)
+        active,
+        np.minimum(np.maximum(np.where(top > 0, exponent, np.inf), -120.0),
+                   120.0),
+        0.0,
+    ).astype(np.int64)
     # 2.0 ** e as an exact power of two (ldexp by definition; the scalar
     # path's float pow is exact over |e| <= 120 as well)
     step = np.ldexp(1.0, exponent)
 
-    step_e, lo_e, hi_e = np.repeat(
-        np.array([step, -1.0 - top, top]), counts, axis=2
-    )
-    # integer-valued floats; rint is np.round at 0 decimals, and here
+    # offset binary: v = q + 2**(w-1), where top + 1 == 2**(w-1), clipped
+    # to [0, 2 * top + 1] — the walk's clip of q to [-top - 1, top],
+    # shifted by an exact integer.  An inactive band has bias and cap 0:
+    # it quantises to 0 whatever its coefficients.
+    bias = np.where(active, top + 1, 0)
+    scale = np.repeat(np.array([step, bias, np.maximum(2 * bias - 1, 0)]),
+                      counts, axis=2)
+    v = coeffs / scale[0]
+    np.rint(v, out=v)  # rint is np.round at 0 decimals
+    v += scale[1]
     # maximum/minimum is np.clip without its dispatch overhead
-    q = np.minimum(np.maximum(np.rint(coeffs / step_e), lo_e), hi_e)
+    np.maximum(v, 0.0, out=v)
+    np.minimum(v, scale[2], out=v)
+    del scale
 
     if use_rice:
         fixed_bytes = (widths * counts + 7) // 8
-        u = rice.zigzag(q.astype(np.int64))
+        u = rice.zigzag((v - np.repeat(bias, counts, axis=1)).astype(np.int64))
         uf = u.astype(np.float64)  # values < 2**17: conversion is exact
         usums = np.add.reduceat(uf, lay.starts, axis=-1)
         means = usums / counts
@@ -218,45 +247,56 @@ def encode_bands_batched(
         # OverflowError, with its message
         int(bad[1])
 
-    # -- the token stream: value in the low 16 bits, width above them ------
+    # -- part sizes and offsets ---------------------------------------------
     fixed = active & ~choose_rice if any_rice else active
     w_fixed = np.where(fixed, widths, 0)
+    size = np.where(active, 2 + ((w_fixed * counts + 7) >> 3), 1)
+    if any_rice:
+        size = np.where(choose_rice, 4 + rice_bytes, size)
+    ends = np.cumsum(size)  # flat, frame-major
+    part_at = ends - size.reshape(-1)
+    total = int(ends[-1])
+
+    # -- fixed-width fields: the byte packer ----------------------------------
+    # a field of w <= 16 bits at bit r = 0..15 of a big-endian 16-bit cell
+    # lies in the 32-bit window of that cell and the next; bincount adds
+    # each window's two cells into the body (fields never share a bit, so
+    # the sum is their OR).  A band that is not fixed-width has w == 0 and
+    # value 0: it adds nothing.
+    value = v.reshape(-1).astype(np.int64)
+    if any_rice:
+        value[np.repeat(choose_rice.reshape(-1), lay.part_count)] = 0
+    w_e, pos = np.repeat(np.array([w_fixed.reshape(-1), 8 * part_at + 16]),
+                         lay.part_count, axis=1)
+    shift = (w_e.reshape(n_frames, n_bins) * lay.within).reshape(-1)
+    pos += shift
+    np.bitwise_and(pos, 15, out=shift)
+    shift += w_e
+    np.subtract(32, shift, out=shift)
+    value <<= shift  # the field in its window
+    cell = np.right_shift(pos, 4, out=pos)
+    # room past the body's last cell: a zero-width field of a last,
+    # inactive part sits one cell beyond it
+    n = (total + 1) // 2 + 3
+    hi = np.right_shift(value, 16, out=shift)
+    cells = np.bincount(cell, hi, n)
+    cells[1:] += np.bincount(cell, np.bitwise_and(value, 0xFFFF, out=hi),
+                             n)[:-1]
+    body = cells.astype(">u2").view(np.uint8)[:total]
+    # descriptors: tag byte, then int8 exponent
+    flat_active = active.reshape(-1)
+    at = part_at[flat_active]
     tag = np.where(choose_rice, 0x80 | k, widths) if any_rice else widths
-    head = np.where(active, (tag << 8) | (exponent & 0xFF) | (16 << 16),
-                    8 << 16)
-    pad = (-counts * w_fixed) % 8
-    if any_rice:
-        # placeholder for the Rice length field and payload, filled below
-        pad = np.where(choose_rice, 16 + 8 * rice_bytes, pad)
-    parts = np.concatenate([(pad << 16).reshape(-1), head.reshape(-1)])
-    # offset binary: q + 2**(w-1), where top + 1 == 2**(w-1); every sum
-    # is an integer below 2**21, exact in float64
-    coef = (
-        q + np.repeat(top + 1 + (w_fixed << 16), counts, axis=1)
-    ).astype(np.int64)
-    tokens = np.insert(coef.reshape(-1), lay.inserts, parts)
-    width = tokens >> 16
-    rows = np.unpackbits(tokens.astype(">u2").view(np.uint8))
-    ends = np.cumsum(width)
-    # stream bit j of a token ending at stream bit `end` is row bit
-    # j + row_end - end: the token's low `width` bits, MSB first
-    pick = np.arange(ends[-1]) + np.repeat(lay.row_end - ends, width)
-    if any_rice:
-        # a Rice placeholder is wider than its row: read one zero bit
-        rows = np.append(rows, np.uint8(0))
-        pick[np.repeat(width > 16, width)] = len(rows) - 1
-    stream = rows[pick]
+    body[at] = tag[active]
+    body[at + 1] = exponent[active] & 0xFF
+    frame_at = np.append(part_at[:: len(counts)], total)
 
     if not any_rice:
-        return np.packbits(stream).tobytes()
+        return body, frame_at
 
-    # -- Rice bands: unary quotient + k-bit remainder -----------------------
-    sizes = np.where(fixed, 2 + fixed_bytes,
-                     np.where(choose_rice, 4 + rice_bytes, 1))
-    flat_sizes = sizes.reshape(-1)
-    part_starts = np.concatenate(
-        [[0], np.cumsum(flat_sizes)[:-1]]
-    ).reshape(n_frames, -1)
+    # -- Rice bands: u16 length, then unary quotient + k-bit remainder ------
+    stream = np.zeros(8 * total, dtype=np.uint8)
+    part_starts = part_at.reshape(n_frames, -1)
     rice_e = choose_rice[:, band_of].reshape(-1)
     u_sel = u.reshape(-1)[rice_e]
     k_sel = k_e.reshape(-1)[rice_e]
@@ -280,47 +320,69 @@ def encode_bands_batched(
         ) & np.uint64(1)
         pos = elem_start[sel] + qq[sel] + 1 + j
         stream[pos[ones == np.uint64(1)]] = 1
-    out = np.packbits(stream)
+    body |= np.packbits(stream)
     ps = part_starts[choose_rice]
     nb = rice_bytes[choose_rice]
-    out[ps + 2] = nb & 0xFF
-    out[ps + 3] = nb >> 8
-    return out.tobytes()
+    body[ps + 2] = nb & 0xFF
+    body[ps + 3] = nb >> 8
+    return body, frame_at
 
 
 def _read_fields(buf: np.ndarray, bitpos: np.ndarray, width: np.ndarray):
     """The ``width``-bit big-endian fields starting at bit ``bitpos``.
 
-    ``buf`` is the byte buffer as int64 with two zero bytes appended.
-    Each field is cut from the 24-bit window at its first byte, which
-    holds it whole for ``width <= 16`` at any bit offset 0..7.
+    ``buf`` is the byte buffer as a signed integer array (32 bits are
+    enough) with two zero bytes appended.  Each field is cut from the
+    24-bit window at its first byte, which holds it whole for
+    ``width <= 16`` at any bit offset 0..7.
     """
     win = (buf[:-2] << 16) | (buf[1:-1] << 8) | buf[2:]
     shift = 24 - (bitpos & 7) - width
     return (win[bitpos >> 3] >> shift) & ((1 << width) - 1)
 
 
-def decode_bands_batched(
-    data: bytes,
-    offset: int,
-    n_frames: int,
-    edges: np.ndarray,
-    *,
-    rice_tags: bool = True,
-) -> tuple:
-    """Decode ``n_frames`` frames of band parts starting at ``offset``.
+class Walk(NamedTuple):
+    """The descriptors of a run of frames, from :func:`walk_bands`."""
 
-    ``data`` may be any byte buffer (``bytes``, ``memoryview``).
-    Returns ``(values, end_offset)`` with ``values`` of shape
-    ``(n_frames, n_bins)``; inactive bands stay zero.  A malformed
-    stream raises the walk's exception at its first bad band (see the
-    module docstring).
+    #: per part: payload offset of a fixed-width part plus the walk's
+    #: ``base``, 0 for any other part
+    fixed_at: list
+    #: ``(part, values)`` of every Rice part, decoded and scaled
+    rice: list
+    #: offset just past the last part
+    end: int
+
+
+def walk_bands(data, offset: int, n_frames: int, edges, *,
+               rice_tags: bool = True, base: int = 0) -> Walk:
+    """Walk ``n_frames`` frames of band descriptors at ``offset``.
+
+    ``base`` is added to every fixed-width offset: the position of
+    ``data`` in a buffer that holds several payloads.  A malformed
+    stream raises the walk's exception at its first bad band.
     """
     lay = _layout(_edges_key(edges), n_frames)
     end = len(data)
-
-    # payload byte offset of every fixed-width part, 0 for the others (a
+    # payload offset of every fixed-width part, 0 for the others (a
     # payload follows its two descriptor bytes, so 0 is never one)
+    fixed_at = [0] * len(lay.part_count)
+    # the fast walk: sizes by table, for streams of fixed-width and
+    # inactive parts that end in bounds.  Anything else is walked again
+    # below, which raises the first bad band's error.
+    at = offset
+    try:
+        for part, table in enumerate(lay.sizes):
+            size = table[data[at]]
+            if size > 1:
+                fixed_at[part] = base + at + 2
+            elif not size:
+                break
+            at += size
+        else:
+            if at <= end:
+                return Walk(fixed_at, [], at)
+    except IndexError:
+        pass  # a tag past the end
     fixed_at = [0] * len(lay.part_count)
     rice_parts: list = []
     for part, count in enumerate(lay.count_list * n_frames):
@@ -352,29 +414,68 @@ def decode_bands_batched(
                     f"bitstream too short: have {8 * (end - offset)} bits, "
                     f"need {tag * count}"
                 )
-            fixed_at[part] = offset
+            fixed_at[part] = base + offset
         offset += nbytes
+    return Walk(fixed_at, rice_parts, offset)
 
-    if any(fixed_at):
-        # the payload plus two zero bytes: every 3-byte window is in
-        # bounds, and indices -2/-1 (parts that are not fixed) read zeros
-        buf = np.zeros(end + 2, dtype=np.int64)
-        buf[:end] = np.frombuffer(data, dtype=np.uint8)
-        at = np.array(fixed_at, dtype=np.int64)
+
+def read_bands(buf: np.ndarray, walks: list, n_frames: int,
+               edges) -> np.ndarray:
+    """Every band value of the walked frames, shape
+    ``(len(walks) * n_frames, n_bins)``; inactive bands stay zero.
+
+    ``walks`` each cover ``n_frames`` frames of ``edges``, their offsets
+    based in ``buf``: the payloads as one ``int32`` array with two zero
+    bytes appended.  One field read serves them all.
+    """
+    lay = _layout(_edges_key(edges), len(walks) * n_frames)
+    at = np.array([w.fixed_at for w in walks], dtype=np.int32).reshape(-1)
+    if at.any():
         # per part: width, int8 exponent, first payload bit — all 0 when
-        # the part is not fixed-width — expanded to every bin
+        # the part is not fixed-width (indices -2/-1 read the zero pad)
         w, exp, bit0 = np.repeat(
             np.array([buf[at - 2], (buf[at - 1] ^ 0x80) - 0x80, at * 8]),
             lay.part_count,
             axis=1,
         )
-        field = _read_fields(buf, bit0 + lay.within * w, w)
+        bit0 += (w.reshape(-1, lay.n_bins) * lay.within).reshape(-1)
+        field = _read_fields(buf, bit0, w)
         # offset binary back to signed, times 2**exp; 0.0 where w == 0
         values = (field - ((1 << w) >> 1)) * np.ldexp(1.0, exp)
     else:
-        values = np.zeros(len(lay.within))
+        values = np.zeros(len(walks) * n_frames * lay.n_bins)
 
-    for part, scaled in rice_parts:
-        first = int(lay.part_first[part])
-        values[first : first + len(scaled)] = scaled
-    return values.reshape(n_frames, lay.n_bins), offset
+    parts = len(lay.count_list) * n_frames
+    for i, walk in enumerate(walks):
+        for part, scaled in walk.rice:
+            first = int(lay.part_first[i * parts + part])
+            values[first : first + len(scaled)] = scaled
+    return values.reshape(-1, lay.n_bins)
+
+
+def payload_buffer(payloads) -> np.ndarray:
+    """``payloads`` joined as one ``int32`` array plus two zero bytes,
+    the buffer :func:`read_bands` reads."""
+    joined = b"".join(payloads) + b"\x00\x00"
+    return np.frombuffer(joined, dtype=np.uint8).astype(np.int32)
+
+
+def decode_bands_batched(
+    data: bytes,
+    offset: int,
+    n_frames: int,
+    edges: np.ndarray,
+    *,
+    rice_tags: bool = True,
+) -> tuple:
+    """Decode ``n_frames`` frames of band parts starting at ``offset``.
+
+    ``data`` may be any byte buffer (``bytes``, ``memoryview``).
+    Returns ``(values, end_offset)`` with ``values`` of shape
+    ``(n_frames, n_bins)``; inactive bands stay zero.  A malformed
+    stream raises the walk's exception at its first bad band (see the
+    module docstring).
+    """
+    walk = walk_bands(data, offset, n_frames, edges, rice_tags=rice_tags)
+    buf = payload_buffer([data]) if any(walk.fixed_at) else None
+    return read_bands(buf, [walk], n_frames, edges), walk.end

@@ -94,6 +94,11 @@ class DecodeCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: Tuple) -> bool:
+        """Whether ``key`` is cached: a peek that leaves the stats and
+        the LRU order alone."""
+        return key in self._entries
+
     @staticmethod
     def key_for(payload, codec_id, params) -> Tuple:
         """The cache key for ``payload`` decoded as ``codec_id``/``params``.

@@ -65,23 +65,26 @@ def imdct(coeffs: np.ndarray) -> np.ndarray:
 
 
 def mdct_analysis(signal: np.ndarray, n: int = 512) -> tuple[np.ndarray, int]:
-    """Transform a 1-D signal into MDCT frames.
+    """Transform a signal into MDCT frames.
 
+    ``signal`` is 1-D, or a stack of equal-length signals on the last
+    axis (the planes of several blocks, transformed in one call).
     Returns ``(coeffs, length)`` where ``coeffs`` has shape
-    ``(num_frames, n)`` and ``length`` is the original sample count needed
-    by :func:`mdct_synthesis` to trim the padding.
+    ``(..., num_frames, n)`` and ``length`` is the original sample count
+    needed by :func:`mdct_synthesis` to trim the padding.
     """
     x = np.asarray(signal, dtype=np.float64)
-    length = len(x)
+    lead, length = x.shape[:-1], x.shape[-1]
     body = ((length + n - 1) // n) * n  # content rounded up to frames
-    padded = np.zeros(body + 2 * n)
-    padded[n : n + length] = x
+    padded = np.zeros(lead + (body + 2 * n,))
+    padded[..., n : n + length] = x
     num_frames = body // n + 1
-    # frame i is padded[i*n : i*n + 2n]: a read-only strided view
+    # frame i is padded[..., i*n : i*n + 2n]: a read-only strided view
+    step = padded.strides[-1]
     frames = as_strided(
         padded,
-        shape=(num_frames, 2 * n),
-        strides=(n * padded.strides[0], padded.strides[0]),
+        shape=lead + (num_frames, 2 * n),
+        strides=padded.strides[:-1] + (n * step, step),
         writeable=False,
     )
     return mdct(frames * sine_window(2 * n)), length
@@ -90,17 +93,18 @@ def mdct_analysis(signal: np.ndarray, n: int = 512) -> tuple[np.ndarray, int]:
 def mdct_synthesis(coeffs: np.ndarray, length: int) -> np.ndarray:
     """Inverse of :func:`mdct_analysis`: overlap-add back to ``length``.
 
-    With 50 % overlap each output sample receives exactly two addends
-    (frame *i*'s tail, frame *i+1*'s head), so the whole overlap-add is
-    two vectorised adds onto an ``(num_frames + 1, n)`` grid — and
+    ``coeffs`` is ``(num_frames, n)`` or a stack ``(..., num_frames, n)``
+    of blocks with the same geometry, synthesised in one call.  With
+    50 % overlap each output sample receives exactly two addends (frame
+    *i*'s tail, frame *i+1*'s head), so the whole overlap-add is two
+    vectorised adds onto a ``(..., num_frames + 1, n)`` grid — and
     because two-term float addition is commutative, the result is
     bit-identical to a per-frame overlap-add loop (the oracle in
     ``tests/oracles/codec.py``).
     """
-    num_frames, n = coeffs.shape
-    chunks = imdct(coeffs) * sine_window(2 * n)[None, :]
-    out = np.zeros((num_frames + 1, n))
-    out[:-1] += chunks[:, :n]
-    out[1:] += chunks[:, n:]
-    return out.reshape(-1)[n : n + length]
-
+    *lead, num_frames, n = coeffs.shape
+    chunks = imdct(coeffs) * sine_window(2 * n)
+    out = np.zeros((*lead, num_frames + 1, n))
+    out[..., :-1, :] += chunks[..., :n]
+    out[..., 1:, :] += chunks[..., n:]
+    return out.reshape(*lead, -1)[..., n : n + length]

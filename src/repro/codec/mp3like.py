@@ -64,7 +64,7 @@ class Mp3LikeCodec(BlockCodec):
             )
         self.bitrate_kbps = bitrate_kbps
 
-    def encode_block(self, samples: np.ndarray) -> bytes:
+    def _encode_one(self, samples: np.ndarray) -> bytes:
         """One block through the whole-block kernels of
         :mod:`repro.codec.batch`."""
         header, spectra, widths = self._analyse(samples)
@@ -97,7 +97,7 @@ class Mp3LikeCodec(BlockCodec):
         ], axis=0)
         return header, spectra, widths
 
-    def decode_block(self, data: bytes) -> np.ndarray:
+    def _decode_one(self, data: bytes) -> np.ndarray:
         return self._decode(data, _decode_bands)
 
     def _decode(self, data: bytes, decode_bands) -> np.ndarray:

@@ -117,11 +117,10 @@ class PsychoModel:
         audible = energies > maskers * 10.0 ** (-(2.0 + quality) / 10.0)
         # noise-to-mask budget: quantisation noise must sit under the masker
         # with a quality-dependent safety margin, so each band needs an SNR
-        # of (energy-over-masker) + margin decibels — ~6 dB per bit.
-        with np.errstate(divide="ignore"):
-            smr_db = 10.0 * np.log10(
-                np.maximum(energies, 1e-30) / maskers
-            )
+        # of (energy-over-masker) + margin decibels — ~6 dB per bit.  The
+        # ratio is positive (maskers sit at or above the threshold in
+        # quiet), so the log never sees a zero.
+        smr_db = 10.0 * np.log10(np.maximum(energies, 1e-30) / maskers)
         margin_db = 3.0 * quality - 8.0
         needed_db = np.maximum(smr_db, 0.0) + margin_db
         widths = np.ceil(needed_db / 6.02).astype(np.int64) + 1

@@ -18,8 +18,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.codec.base import BlockCodec, CodecID, register_codec
-from repro.codec.batch import decode_bands_batched, encode_bands_batched
+from repro.codec.base import (
+    BlockCodec,
+    CodecID,
+    decoded_blocks,
+    register_codec,
+)
+from repro.codec.batch import (
+    encode_parts,
+    payload_buffer,
+    read_bands,
+    walk_bands,
+)
 from repro.codec.mdct import mdct_analysis, mdct_synthesis
 from repro.codec.psycho import PsychoModel
 
@@ -76,48 +86,104 @@ class VorbisLikeCodec(BlockCodec):
         self.entropy = entropy
         self._log2n = frame_size.bit_length() - 1
 
+    def batch_key(self, op: str):
+        """Decoding needs only the sample rate (each block's header
+        carries the rest); encoding needs the whole configuration."""
+        if op == "decode":
+            return (type(self), self.sample_rate)
+        return (type(self), self.quality, self.sample_rate,
+                self.frame_size, self.entropy, self.window_switching)
+
     # -- encoding ---------------------------------------------------------------
 
+    # encode_block/decode_block are declared on this class, not only
+    # inherited: the benchmark's layer tracer wraps this class's own entry
+    # points, and the group kernels must run inside them
+
     def encode_block(self, samples: np.ndarray) -> bytes:
-        """One block through the whole-block kernels of
-        :mod:`repro.codec.batch`."""
-        header, coeffs, model = self._analyse(samples)
-        energies = model.band_energies(coeffs)
-        widths = model.allocate_widths(energies, self.quality)
-        return header + encode_bands_batched(
-            coeffs,
-            model.edges,
-            widths,
-            min_width=1,
-            use_rice=self.entropy == "rice",
-        )
+        """One block, encoded with every block of its group handed over
+        so far (:meth:`encode_blocks`)."""
+        return self._queue().take(self, "encode", samples)
+
+    def encode_blocks(self, blocks: list) -> list:
+        """Every block through one stacked pass of the kernels: one MDCT,
+        one bit allocation and one band-coding call per block geometry
+        (frame size and length), each block's body a slice of the
+        output.  Should any block fail, each is encoded alone, so every
+        block gets its own bytes or its own exception."""
+        try:
+            return self._encode_stacked(blocks)
+        except Exception as exc:  # noqa: BLE001 — a member's own outcome
+            if len(blocks) == 1:
+                return [exc]
+            return [self.encode_blocks([b])[0] for b in blocks]
+
+    def _encode_stacked(self, blocks: list) -> list:
+        planes, sizes = zip(*[self._planes(b) for b in blocks])
+        out = [b""] * len(blocks)
+        for (frame_size, length), idx in _by_key(
+            (fs, p.shape[1]) for p, fs in zip(planes, sizes)
+        ).items():
+            coeffs = mdct_analysis(
+                np.concatenate([planes[i] for i in idx]), frame_size
+            )[0]
+            n_frames = coeffs.shape[1]
+            frames = coeffs.reshape(-1, frame_size)
+            model = _model(self.sample_rate, frame_size)
+            widths = model.allocate_widths(model.band_energies(frames),
+                                           self.quality)
+            body, frame_at = encode_parts(
+                frames, model.edges, widths, min_width=1,
+                use_rice=self.entropy == "rice",
+            )
+            first = 0
+            for i in idx:
+                channels = planes[i].shape[0]
+                last = first + channels * n_frames
+                out[i] = self._header(channels, frame_size, length,
+                                      n_frames) + body[
+                    frame_at[first] : frame_at[last]
+                ].tobytes()
+                first = last
+        return out
 
     def _analyse(self, samples: np.ndarray):
         """The block header, the MDCT frames in wire order (every frame
         of the mid plane, then every side frame) and the psycho model."""
+        planes, frame_size = self._planes(samples)
+        coeffs = mdct_analysis(planes, frame_size)[0]
+        header = self._header(planes.shape[0], frame_size, planes.shape[1],
+                              coeffs.shape[1])
+        return (header, coeffs.reshape(-1, frame_size),
+                _model(self.sample_rate, frame_size))
+
+    def _planes(self, samples: np.ndarray):
+        """The block's planes ``(channels, samples)`` — mid then side for
+        stereo — and the frame size to code them with."""
         x = np.asarray(samples, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
-        num_samples, channels = x.shape
+        channels = x.shape[1]
         if channels not in (1, 2):
             raise ValueError(f"1 or 2 channels required, got {channels}")
         if channels == 2:
-            planes = [(x[:, 0] + x[:, 1]) / 2.0, (x[:, 0] - x[:, 1]) / 2.0]
+            planes = np.stack(
+                [(x[:, 0] + x[:, 1]) / 2.0, (x[:, 0] - x[:, 1]) / 2.0]
+            )
         else:
-            planes = [x[:, 0]]
+            planes = x.T
+        return planes, self._pick_frame_size(planes)
 
-        frame_size = self._pick_frame_size(planes)
-        coeffs_list = [mdct_analysis(plane, frame_size)[0] for plane in planes]
-        header = _HEADER.pack(
+    def _header(self, channels: int, frame_size: int, num_samples: int,
+                num_frames: int) -> bytes:
+        return _HEADER.pack(
             int(self.codec_id),
             self.quality,
             channels,
             frame_size.bit_length() - 1,
             num_samples,
-            coeffs_list[0].shape[0],
+            num_frames,
         )
-        coeffs = np.concatenate(coeffs_list, axis=0)
-        return header, coeffs, _model(self.sample_rate, frame_size)
 
     #: a segment this much louder than the block's quiet parts is an attack
     TRANSIENT_RATIO = 30.0
@@ -143,29 +209,91 @@ class VorbisLikeCodec(BlockCodec):
 
     # -- decoding ---------------------------------------------------------------
 
-    def decode_block(self, data: bytes) -> np.ndarray:
-        return self._decode(data, decode_bands_batched)
+    def decode_block(self, data: bytes, params=None):
+        """One block, decoded with every payload of its group handed over
+        so far (:meth:`decode_blocks`): its samples, or with ``params``
+        its :class:`~repro.codec.cache.DecodedBlock`."""
+        return self._queue().take(self, "decode", data, params)
 
-    def _decode(self, data: bytes, decode_bands) -> np.ndarray:
-        """Header, then every plane's frames through ``decode_bands``."""
+    def decode_blocks(self, payloads: list, params=None) -> list:
+        """Each payload's header and band descriptors are walked alone,
+        so a malformed payload fails by itself.  Then one field read,
+        one synthesis and (with ``params``) one PCM conversion serve
+        every sound payload of the same geometry."""
+        out = [None] * len(payloads)
+        bases = np.cumsum([0] + [len(data) for data in payloads]).tolist()
+        walked: dict = {}
+        for i, data in enumerate(payloads):
+            try:
+                geometry, edges = self._parse(data)
+                walk = walk_bands(data, _HEADER.size,
+                                  geometry[0] * geometry[2], edges,
+                                  base=bases[i])
+            except Exception as exc:  # noqa: BLE001 — this payload's own
+                out[i] = exc
+                continue
+            walked.setdefault(geometry, []).append((i, walk, edges))
+        buf = payload_buffer(payloads)
+        for (channels, log2n, num_frames, num_samples), members in (
+            walked.items()
+        ):
+            try:
+                coeffs = read_bands(buf, [w for _, w, _ in members],
+                                    channels * num_frames, members[0][2])
+                samples = _samples(coeffs.reshape(
+                    len(members), channels, num_frames, 1 << log2n
+                ), num_samples)
+                results = (list(samples) if params is None
+                           else decoded_blocks(samples, params))
+            except Exception as exc:  # noqa: BLE001 — alike for all members
+                results = [exc] * len(members)
+            for (i, _, _), res in zip(members, results):
+                out[i] = res
+        return out
+
+    def _parse(self, data):
+        """``(channels, log2n, num_frames, num_samples)`` and the band
+        edges of a block, from its header."""
         codec, quality, channels, log2n, num_samples, num_frames = (
             _HEADER.unpack_from(data, 0)
         )
         if codec != int(self.codec_id):
             raise ValueError(f"not a vorbislike block (codec id {codec})")
         edges = _model(self.sample_rate, 1 << log2n).edges
+        return (channels, log2n, num_frames, num_samples), edges
+
+    def _decode(self, data: bytes, decode_bands) -> np.ndarray:
+        """Header, then every plane's frames through ``decode_bands``."""
+        (channels, log2n, num_frames, num_samples), edges = self._parse(data)
         offset = _HEADER.size
         planes = []
         for _ in range(channels):
             coeffs, offset = decode_bands(data, offset, num_frames, edges)
-            planes.append(mdct_synthesis(coeffs, num_samples))
-        if channels == 2:
-            mid, side = planes
-            out = np.stack([mid + side, mid - side], axis=1)
-        else:
-            out = planes[0][:, None]
-        # np.clip without its dispatch overhead (NaN propagates the same)
-        return np.minimum(np.maximum(out, -1.0), 1.0)
+            planes.append(coeffs)
+        coeffs = np.array(planes).reshape(1, channels, num_frames, 1 << log2n)
+        return _samples(coeffs, num_samples)[0]
+
+
+def _samples(coeffs: np.ndarray, num_samples: int) -> np.ndarray:
+    """Blocks of plane coefficients ``(blocks, planes, frames, bins)`` ->
+    clipped samples ``(blocks, num_samples, channels)``."""
+    planes = mdct_synthesis(coeffs, num_samples)
+    if planes.shape[1] == 2:
+        mid, side = planes[:, 0], planes[:, 1]
+        out = np.stack([mid + side, mid - side], axis=-1)
+    else:
+        # mono; a corrupt channel count of 0 fails here
+        out = planes[:, 0, :, None]
+    # np.clip without its dispatch overhead (NaN propagates the same)
+    return np.minimum(np.maximum(out, -1.0), 1.0)
+
+
+def _by_key(keys) -> dict:
+    """``{key: [indices]}`` of an iterable of keys, in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 register_codec(CodecID.VORBIS_LIKE, VorbisLikeCodec)

@@ -25,6 +25,7 @@ from repro.audio.params import AudioParams
 from repro.codec.base import CodecID, get_codec
 from repro.codec.cache import EncodeCache, EncodedBlock
 from repro.codec.cost import DEFAULT_COSTS, estimated_ratio
+from repro.codec.queue import CodecQueue
 from repro.core.channel import ChannelConfig
 from repro.core.protocol import EPOCH_MOD, SEQ_MOD, ControlPacket, DataPacket
 from repro.core.ratelimiter import RateLimiter
@@ -82,6 +83,7 @@ class Rebroadcaster:
         telemetry=None,
         epoch: int = 0,
         encode_cache: Optional[EncodeCache] = None,
+        codec_queue: Optional[CodecQueue] = None,
     ):
         self.machine = machine
         self.channel = channel
@@ -99,6 +101,9 @@ class Rebroadcaster:
         #: bytes instead of re-encoding.  Host-side only — the virtual
         #: CPU is charged the full encode cost before the lookup.
         self.encode_cache = encode_cache
+        #: where blocks wait for their encode (the system's, shared by
+        #: every channel, or this producer's own)
+        self.codec_queue = codec_queue if codec_queue is not None else CodecQueue()
         self.stats = RebroadcasterStats()
         # one label per channel so system-level conservation can sum with
         # Telemetry.total(); a standby on the same channel adds into it
@@ -240,6 +245,7 @@ class Rebroadcaster:
                 )
         elif self._encoder is None:
             self._encoder = get_codec(self._codec_id)
+        self._encoder.queue = self.codec_queue
         return self._encoder
 
     def _handle_data(self, sock, payload: bytes):
@@ -302,15 +308,28 @@ class Rebroadcaster:
         frames = params.frames_of(len(payload))
         cost = self.costs[codec_id]
         cycles = cost.encode_cycles(frames, self.channel.quality)
-        if cycles > 0:
-            yield machine.cpu.run(cycles, domain="user")
-        if codec_id == CodecID.RAW:
-            # passthrough: no encoder ran, nothing cacheable
-            return payload, False
         encoder = self._get_encoder(params, len(payload))
-        if encoder is not None:
-            # the virtual CPU was charged the full encode above, so a
-            # cache hit changes host wall-clock only — never sim time
+        if encoder is None:
+            if cycles > 0:
+                yield machine.cpu.run(cycles, domain="user")
+            if codec_id == CodecID.RAW:
+                # passthrough: no encoder ran, nothing cacheable
+                return payload, False
+            # synthetic size estimate (real_codec=False): not a function
+            # of the payload bytes alone, so it must bypass the cache
+            size = max(16, int(len(payload) * estimated_ratio(
+                codec_id, self.channel.quality
+            )))
+            return bytes(size), True
+        # the block is handed over while the virtual CPU runs the encode,
+        # so every channel's block is encoded in one group; the cache
+        # lookup stays after the charge, and a hit changes host
+        # wall-clock only — never sim time
+        samples = decode_samples(payload, params)
+        pending = self.codec_queue.encode(encoder, samples)
+        try:
+            if cycles > 0:
+                yield machine.cpu.run(cycles, domain="user")
             cache = self.encode_cache
             if cache is not None:
                 key = EncodeCache.key_for(
@@ -319,18 +338,13 @@ class Rebroadcaster:
                 entry = cache.get(key)
                 if entry is not None:
                     return entry.wire, False
-            samples = decode_samples(payload, params)
             self._h_batch.observe(frames)
             wire = encoder.encode_block(samples)
             if cache is not None:
                 cache.put(key, EncodedBlock(wire=wire))
             return wire, False
-        # synthetic size estimate (real_codec=False): not a function of
-        # the payload bytes alone, so it must bypass the cache
-        size = max(16, int(len(payload) * estimated_ratio(
-            codec_id, self.channel.quality
-        )))
-        return bytes(size), True
+        finally:
+            self.codec_queue.release(pending)
 
     def _send_control(self, sock):
         if self._params is None:

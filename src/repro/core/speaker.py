@@ -27,7 +27,8 @@ import numpy as np
 from repro.audio.encodings import decode_samples, encode_samples
 from repro.audio.params import AudioParams
 from repro.codec.base import CodecID, get_codec
-from repro.codec.cache import DecodeCache, DecodedBlock
+from repro.codec.cache import DecodeCache
+from repro.codec.queue import CodecQueue
 from repro.codec.cost import DEFAULT_COSTS
 from repro.core.protocol import (
     SEQ_MOD,
@@ -125,6 +126,7 @@ class EthernetSpeaker:
         name: str = "",
         telemetry=None,
         decode_cache: Optional[DecodeCache] = None,
+        codec_queue: Optional[CodecQueue] = None,
     ):
         self.machine = machine
         self.group_ip = group_ip
@@ -145,6 +147,9 @@ class EthernetSpeaker:
         #: shared across every speaker on the channel.  ``None`` decodes
         #: privately (the pre-fan-out-fast-path behaviour).
         self.decode_cache = decode_cache
+        #: where payloads wait for their decode (the system's, shared by
+        #: every speaker, or this speaker's own)
+        self.codec_queue = codec_queue if codec_queue is not None else CodecQueue()
         self._last_pcm: Optional[bytes] = None
         #: playback gain (§5.2's knob); 1.0 = unity
         self.gain = 1.0
@@ -670,14 +675,35 @@ class EthernetSpeaker:
         The simulated CPU is charged the full decode cost regardless of
         the shared-decode cache: a hit only skips redundant *host* work,
         so cached and uncached runs are bit-identical in virtual time.
+        A payload the cache does not hold is handed to the codec queue
+        while the charge runs, so it is decoded in one group with the
+        other speakers' payloads (:mod:`repro.codec.queue`).
         """
         machine = self.machine
         params = self._params
         frames = params.frames_of(packet.pcm_bytes or len(packet.payload))
         cost = self.costs[packet.codec_id]
         cycles = cost.decode_cycles(frames)
-        if cycles > 0:
-            yield machine.cpu.run(cycles, domain="user")
+        cache = self.decode_cache
+        key = pending = None
+        if (cache is not None and self.gain == 1.0 and self.room is None
+                and not packet.synthetic and packet.codec_id != CodecID.RAW):
+            key = cache.key_for(packet.payload, packet.codec_id, params)
+            if key not in cache:
+                pending = self.codec_queue.decode(
+                    self._get_decoder(packet.codec_id), packet.payload, params
+                )
+        try:
+            if cycles > 0:
+                yield machine.cpu.run(cycles, domain="user")
+            return self._decoded(packet, params, key)
+        finally:
+            if pending is not None:
+                self.codec_queue.release(pending)
+
+    def _decoded(self, packet: DataPacket, params: AudioParams, key):
+        """The decode itself, once its CPU charge has run; ``key`` is
+        the payload's decode-cache key, if the charge started with one."""
         if packet.synthetic:
             return _synthetic_filler(packet.pcm_bytes)
         if packet.codec_id == CodecID.RAW:
@@ -689,10 +715,14 @@ class EthernetSpeaker:
             if cache is not None and self.gain == 1.0 and self.room is None:
                 # the speaker-independent path: share the decoded block
                 # with every other unity-gain speaker on the channel
-                key = cache.key_for(packet.payload, packet.codec_id, params)
+                if key is None:
+                    key = cache.key_for(packet.payload, packet.codec_id,
+                                        params)
                 entry = cache.get(key)
                 if entry is None:
-                    entry = self._decode_shared(packet, params)
+                    entry = self._get_decoder(packet.codec_id).decode_block(
+                        packet.payload, params
+                    )
                     cache.put(key, entry)
                 if entry.rms is not None:
                     self.last_output_rms = entry.rms
@@ -709,16 +739,6 @@ class EthernetSpeaker:
                 self.room.speaker_rms = self.last_output_rms
         return encode_samples(samples, params)
 
-    def _decode_shared(self, packet: DataPacket, params: AudioParams
-                       ) -> DecodedBlock:
-        """Decode at unity gain, packaged for the shared cache."""
-        decoder = self._get_decoder(packet.codec_id)
-        samples = decoder.decode_block(packet.payload)
-        rms = None
-        if len(samples):
-            rms = float(np.sqrt(np.mean(np.square(samples))))
-        return DecodedBlock(pcm=encode_samples(samples, params), rms=rms)
-
     def _get_decoder(self, codec_id: CodecID):
         key = (codec_id, self._params.sample_rate)
         if self._decoder_key != key:
@@ -728,5 +748,6 @@ class EthernetSpeaker:
                 )
             else:
                 self._decoder = get_codec(codec_id)
+            self._decoder.queue = self.codec_queue
             self._decoder_key = key
         return self._decoder

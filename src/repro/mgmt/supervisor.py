@@ -19,11 +19,12 @@ half of that story:
   schedules it after ``restart_delay`` — modelling the watchdog-reset /
   power-cycle path — and counts the restart.
 
-Heartbeats, misses, lease expiries and restarts are counted per node on
-its :class:`NodeHealth`, which telemetry reads as
-``supervisor.{beats,missed,lease_expiries,restarts}[node]``; the
-supervisor-wide sums are folded into ``pipeline_report()`` so a run's
-self-healing activity shows up next to its audio ledger.
+Heartbeats, misses, lease expiries and restarts are counted once, per
+node, on its :class:`NodeHealth`, which telemetry reads as
+``supervisor.{beats,missed,lease_expiries,restarts}[node]``;
+:attr:`Supervisor.stats` sums them (with the supervisor-wide count of
+down transitions) into the row ``pipeline_report()`` folds in, so a
+run's self-healing activity shows up next to its audio ledger.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class NodeHealth:
 
 @dataclass
 class SupervisorStats:
+    """Supervisor-wide counts, read through :attr:`Supervisor.stats`."""
+
     heartbeats: int = 0
     missed_heartbeats: int = 0
     restarts: int = 0
@@ -102,7 +105,8 @@ class Supervisor:
         self.miss_threshold = miss_threshold
         self.restart_delay = restart_delay
         self.name = name
-        self.stats = SupervisorStats()
+        #: down transitions observed (the one count kept per supervisor)
+        self._nodes_down = 0
         self.nodes: Dict[str, NodeHealth] = {}
         self._probes: Dict[str, Callable[[], bool]] = {}
         self._restarts: Dict[str, Optional[Callable[[], None]]] = {}
@@ -156,10 +160,23 @@ class Supervisor:
     def status(self, name: str) -> str:
         return self.nodes[name].status
 
+    @property
+    def stats(self) -> SupervisorStats:
+        """The per-node counters summed, plus the down transitions."""
+        nodes = self.nodes.values()
+        return SupervisorStats(
+            heartbeats=sum(h.beats for h in nodes),
+            missed_heartbeats=sum(h.missed for h in nodes),
+            restarts=sum(h.restarts for h in nodes),
+            nodes_down=self._nodes_down,
+            lease_expiries=sum(h.lease_expiries for h in nodes),
+        )
+
     def snapshot(self) -> SupervisorStats:
         """Stats with the per-node status map filled in."""
-        self.stats.nodes = {n: h.status for n, h in self.nodes.items()}
-        return self.stats
+        stats = self.stats
+        stats.nodes = {n: h.status for n, h in self.nodes.items()}
+        return stats
 
     # -- the node-side agent --------------------------------------------------
 
@@ -176,7 +193,6 @@ class Supervisor:
             health.beats += 1
             if health.status == DOWN and not health.restart_pending:
                 health.status = UP
-            self.stats.heartbeats += 1
 
     # -- the management-plane scan -------------------------------------------
 
@@ -194,10 +210,9 @@ class Supervisor:
                         health.status = UP
                     continue
                 health.missed += 1
-                self.stats.missed_heartbeats += 1
                 if health.status != DOWN:
                     health.status = DOWN
-                    self.stats.nodes_down += 1
+                    self._nodes_down += 1
                     tel.tracer.instant(
                         "supervisor.down", track=self.name, node=name,
                     )
@@ -227,10 +242,9 @@ class Supervisor:
         if self._probes[name]():
             return False          # lease lapse was transient; node is fine
         health.lease_expiries += 1
-        self.stats.lease_expiries += 1
         if health.status != DOWN:
             health.status = DOWN
-            self.stats.nodes_down += 1
+            self._nodes_down += 1
             self.telemetry.tracer.instant(
                 "supervisor.lease_expired", track=self.name, node=name,
             )
@@ -253,7 +267,6 @@ class Supervisor:
         health.restarts += 1
         health.status = UP
         health.last_beat = self.sim.now  # restart grace: full deadline again
-        self.stats.restarts += 1
         self.telemetry.tracer.instant(
             "supervisor.restart", track=self.name, node=name,
         )

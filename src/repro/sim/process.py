@@ -15,13 +15,38 @@ functions that processes delegate to.  A waitable implements ``_arm(proc)``
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from typing import Any, Generator, Optional
 
 from repro.sim.core import SimError, Simulator
 
 #: the process currently executing a step, if any (for diagnostics)
 _current: Optional["Process"] = None
+
+#: wake-ups made while the garbage collector runs, as (weak process,
+#: value, exc); ``None`` outside a collection.  Only finalisers run then,
+#: and a finaliser's wake-up (an unreachable process's ``finally`` closing
+#: a queue) may target a process that is garbage too: scheduling it would
+#: bring it back.  So the wake-up waits for the collection to end, and
+#: runs only if its process survived it.
+_gc_wakes: Optional[list] = None
+
+
+def _on_gc(phase: str, info: dict) -> None:
+    global _gc_wakes
+    if phase == "start":
+        _gc_wakes = []
+        return
+    wakes, _gc_wakes = _gc_wakes, None
+    for ref, value, exc in wakes or ():
+        proc = ref()
+        if proc is not None:
+            proc._resume(value, exc)
+
+
+gc.callbacks.append(_on_gc)
 
 
 def current_process() -> Optional["Process"]:
@@ -167,13 +192,8 @@ class Process:
         next-entry slot, when nothing else is due now)."""
         if not self.alive:
             return
-        if getattr(self._gen, "gi_running", False) and _current is not self:
-            # The generator runs but not from a step: the garbage collector
-            # is finalising this unreachable process, and its ``finally``
-            # woke it.  It finishes here; a step scheduled now would bring
-            # it back and throw into a closed generator mid-run.  (A
-            # generator stand-in without ``gi_running`` is never caught.)
-            self.alive = False
+        if _gc_wakes is not None:
+            _gc_wakes.append((weakref.ref(self), value, exc))
             return
         self._clear_wait()
         self.sim.schedule_transient(0.0, self._step, value, exc)

@@ -18,13 +18,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.audio import AudioEncoding, AudioParams
 from repro.codec.batch import (
     _read_fields,
     decode_bands_batched,
     encode_bands_batched,
 )
+from repro.codec.cache import DecodedBlock
 from repro.codec.mdct import mdct_analysis, mdct_synthesis
 from repro.codec.mp3like import Mp3LikeCodec
+from repro.codec.queue import CodecQueue
 from repro.codec.rice import rice_decode
 from repro.codec.vorbislike import VorbisLikeCodec, _model
 from tests.oracles.codec import (
@@ -532,3 +535,148 @@ def test_encode_first_error_in_wire_order():
         want = _result(_reference_encode, coeffs, edges, widths, "rice")
         assert got == want
         assert got[0] == kind  # struct.error is named "error"
+
+
+# -- groups: one stacked kernel call == every block alone ---------------------
+#
+# Blocks handed over to one queue are computed together by the first
+# demand of their group (same codec configuration).  Every member must
+# get exactly what the block gives alone — bytes, samples, PCM and RMS,
+# or the exception's type and message — and only at its own demand.
+
+_member = st.fixed_dictionaries({
+    # few lengths, so members often share a geometry and are stacked
+    "n": st.sampled_from([1, 517, 1536, 1536, 1536, 4100]),
+    # three channels: a block the encoder rejects
+    "channels": st.sampled_from([1, 2, 1, 2, 3]),
+    "kind": st.sampled_from(["noise", "tone", "quiet", "sparse", "attack"]),
+    "quality": st.sampled_from([3, 10]),
+    "entropy": st.sampled_from(["fixed", "rice"]),
+    "window_switching": st.booleans(),
+    "nan": st.sampled_from([False, False, False, True]),
+    "seed": st.integers(min_value=0, max_value=2**31),
+})
+
+_CONFIG = ("quality", "entropy", "window_switching")
+
+
+def _member_block(m):
+    x = _signal(np.random.default_rng(m["seed"]), m["n"], m["channels"],
+                m["kind"])
+    if m["nan"]:
+        x[m["n"] // 2, -1] = np.nan
+    return x
+
+
+def _outcome_of(call, *args):
+    """``("ok", value)`` — a DecodedBlock as (pcm, rms repr) — or the
+    ``(exception type, message)`` raised."""
+    try:
+        out = call(*args)
+    except Exception as exc:  # noqa: BLE001 — exception IS the contract
+        return (type(exc).__name__, str(exc))
+    if isinstance(out, DecodedBlock):
+        return ("ok", out.pcm, repr(out.rms))
+    return ("ok", out if isinstance(out, bytes) else out.tobytes())
+
+
+def _demand_all(queue, codecs, handed, demand, rnd):
+    """Demand every handed-over member in a random order; each outcome
+    by member index.  Everything is released after."""
+    order = list(range(len(handed)))
+    rnd.shuffle(order)
+    got = {}
+    for i in order:
+        got[i] = _outcome_of(demand, codecs[i], i)
+        queue.release(handed[i])
+    assert len(queue) == 0
+    return [got[i] for i in range(len(handed))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.lists(_member, min_size=1, max_size=6),
+       shared=st.booleans(), rnd=st.randoms(use_true_random=False))
+def test_vorbis_encode_group_equals_each_block_alone(members, shared, rnd):
+    if shared:  # one configuration: a single group of mixed blocks
+        members = [{**m, **{k: members[0][k] for k in _CONFIG}}
+                   for m in members]
+    blocks = [_member_block(m) for m in members]
+    configs = [{k: m[k] for k in _CONFIG} for m in members]
+    alone = [_outcome_of(VorbisLikeCodec(**cfg).encode_block, x)
+             for cfg, x in zip(configs, blocks)]
+    queue = CodecQueue()
+    codecs = [VorbisLikeCodec(**cfg) for cfg in configs]
+    for codec in codecs:
+        codec.queue = queue
+    handed = [queue.encode(c, x) for c, x in zip(codecs, blocks)]
+    got = _demand_all(queue, codecs, handed,
+                      lambda codec, i: codec.encode_block(blocks[i]), rnd)
+    assert got == alone
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.lists(_member, min_size=1, max_size=6),
+       damage=st.lists(st.tuples(st.sampled_from(["cut", "flip", "none"]),
+                                 st.floats(min_value=0.0, max_value=1.0),
+                                 st.integers(min_value=0, max_value=7)),
+                       min_size=6, max_size=6),
+       sample_rate=st.sampled_from([22050, 44100]),
+       device_channels=st.sampled_from([1, 2]),
+       with_params=st.booleans(),
+       duplicate=st.booleans(),
+       rnd=st.randoms(use_true_random=False))
+def test_vorbis_decode_group_equals_each_payload_alone(
+    members, damage, sample_rate, device_channels, with_params, duplicate,
+    rnd,
+):
+    payloads = []
+    for m, (how, frac, bit) in zip(members, damage):
+        m = {**m, "nan": False, "channels": min(m["channels"], 2)}
+        blob = bytearray(VorbisLikeCodec(
+            **{k: m[k] for k in _CONFIG}
+        ).encode_block(_member_block(m)))
+        i = 10 + int(frac * (len(blob) - 11))
+        if how == "cut":
+            blob = blob[:i]
+        elif how == "flip":
+            blob[i] ^= 1 << bit
+        payloads.append(bytes(blob))
+    if duplicate:  # two speakers waiting on one payload share its entry
+        payloads.append(payloads[0])
+    params = (AudioParams(AudioEncoding.SLINEAR16, sample_rate,
+                          device_channels) if with_params else None)
+    alone = [_outcome_of(VorbisLikeCodec(sample_rate=sample_rate)
+                         .decode_block, p, params) for p in payloads]
+    queue = CodecQueue()
+    codecs = [VorbisLikeCodec(sample_rate=sample_rate) for _ in payloads]
+    for codec in codecs:
+        codec.queue = queue
+    handed = [queue.decode(c, p, params) for c, p in zip(codecs, payloads)]
+    assert len(queue) == len(set(payloads))
+    got = _demand_all(
+        queue, codecs, handed,
+        lambda codec, i: codec.decode_block(payloads[i], params), rnd,
+    )
+    assert got == alone
+
+
+def test_group_runs_once_and_errors_stay_with_their_block():
+    """Three blocks of one configuration, the middle one with three
+    channels: the first demand encodes all three, the sound ones get
+    their bytes and the bad block raises — at its own demand only."""
+    rng = np.random.default_rng(11)
+    blocks = [_signal(rng, 3000, channels, "noise") for channels in (1, 3, 2)]
+    queue = CodecQueue()
+    codec = VorbisLikeCodec(quality=10)
+    codec.queue = queue
+    handed = [queue.encode(codec, x) for x in blocks]
+    first = codec.encode_block(blocks[0])
+    assert all(entry.done for entry in handed)
+    assert first == VorbisLikeCodec(quality=10).encode_block(blocks[0])
+    with pytest.raises(ValueError, match="1 or 2 channels required, got 3"):
+        codec.encode_block(blocks[1])
+    assert codec.encode_block(blocks[2]) == VorbisLikeCodec(
+        quality=10).encode_block(blocks[2])
+    for entry in handed:
+        queue.release(entry)
+    assert len(queue) == 0

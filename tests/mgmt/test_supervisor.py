@@ -135,3 +135,42 @@ def test_snapshot_carries_status_map():
     system.run(until=3.0)
     snap = sup.snapshot()
     assert snap.nodes == {node.speaker.name: UP}
+
+
+def test_supervisor_row_is_the_sum_of_its_nodes():
+    """Each fact is counted once, on the node: the supervisor's row (and
+    the report's) is the sum of the nodes' counters, which telemetry
+    publishes per node — across beats, misses, a lease expiry and a
+    restart on two nodes."""
+    system = EthernetSpeakerSystem(telemetry=True)
+    producer = system.add_producer()
+    channel = system.add_channel("ch", params=LOW, compress="never")
+    system.add_rebroadcaster(producer, channel, control_interval=0.5)
+    nodes = [system.add_speaker(channel=channel) for _ in range(2)]
+    sup = system.add_supervisor(heartbeat_interval=0.25, miss_threshold=2,
+                                restart_delay=0.5)
+    for node in nodes:
+        system.supervise(sup, node)
+    system.play_synthetic(producer, 10.0, LOW)
+    crashed = nodes[1].speaker
+    system.sim.schedule(3.0, crashed.crash)
+    system.sim.schedule(3.1, sup.notify_lease_expired, crashed.name)
+    system.run(until=8.0)
+
+    healths = list(sup.nodes.values())
+    stats = sup.stats
+    assert stats.heartbeats == sum(h.beats for h in healths) > 0
+    assert stats.missed_heartbeats == sum(h.missed for h in healths)
+    assert stats.lease_expiries == sum(h.lease_expiries for h in healths) == 1
+    assert stats.restarts == sum(h.restarts for h in healths) == 1
+    assert stats.nodes_down == 1
+    counters = system.telemetry.counters
+    for h in healths:
+        for field in ("beats", "missed", "lease_expiries", "restarts"):
+            assert counters[f"supervisor.{field}[{h.name}]"] == getattr(
+                h, field)
+    row = system.pipeline_report().stats["supervisor"]
+    assert (row.heartbeats, row.missed_heartbeats, row.restarts,
+            row.nodes_down, row.lease_expiries) == (
+        stats.heartbeats, stats.missed_heartbeats, stats.restarts,
+        stats.nodes_down, stats.lease_expiries)

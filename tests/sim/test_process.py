@@ -1,6 +1,7 @@
 """Processes: spawning, sleeping, composition, kill, timeouts."""
 
 import gc
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.sim import (
     Timeout,
     WaitProcess,
 )
-from repro.sim.resources import Queue
+from repro.sim.resources import Queue, QueueClosed
 
 
 def spawn(sim, gen, name="p"):
@@ -220,6 +221,68 @@ def test_collected_process_finishes_without_waking_itself():
     assert sim.pending() == 0
     sim.run(until=2.0)
     assert sim.now == 2.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_collected_process_does_not_wake_another_unreachable_one(seed):
+    # Unreachable processes blocked on one queue that only they reference;
+    # one closes it in its ``finally``.  When the collector finalises
+    # them, that close throws into the others' waits: none may be
+    # scheduled, since all of them are garbage.
+    rng = random.Random(seed)
+    sim = Simulator()
+    closed = []
+
+    def getter(q):
+        yield q.get()
+
+    def closer(q):
+        try:
+            yield q.get()
+        finally:
+            q.close()
+            closed.append(sim.now)
+
+    q = Queue()
+    bodies = [getter] * rng.randint(1, 4)
+    bodies.insert(rng.randint(0, len(bodies)), closer)
+    for body in bodies:
+        spawn(sim, body(q))
+    del q
+    sim.run(until=1.0)
+    assert sim.pending() == 0
+    gc.collect()
+    assert closed == [1.0]
+    assert sim.pending() == 0
+    sim.run(until=2.0)
+    assert sim.now == 2.0 and not sim.unhandled
+
+
+def test_collected_process_still_wakes_a_live_one():
+    # The same close, but the other waiter is reachable: it is woken
+    # once the collection ends, and sees the queue closed.
+    sim = Simulator()
+    q = Queue()
+
+    def closer(dying):
+        try:
+            yield dying.get()
+        finally:
+            q.close()
+
+    def waiter():
+        try:
+            yield q.get()
+        except QueueClosed:
+            return ("closed", sim.now)
+
+    live = spawn(sim, waiter())
+    spawn(sim, closer(Queue()))
+    sim.run(until=1.0)
+    gc.collect()
+    assert sim.pending() == 1
+    sim.run(until=2.0)
+    assert live.result == ("closed", 1.0)
 
 
 def test_timeout_fires_on_slow_wait():
