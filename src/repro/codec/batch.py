@@ -211,13 +211,12 @@ def encode_parts(coeffs, edges, widths, *, min_width: int = 1,
     bias = np.where(active, top + 1, 0)
     scale = np.repeat(np.array([step, bias, np.maximum(2 * bias - 1, 0)]),
                       counts, axis=2)
-    v = coeffs / scale[0]
+    v = np.divide(coeffs, scale[0], out=scale[0])  # in place: v pins scale
     np.rint(v, out=v)  # rint is np.round at 0 decimals
     v += scale[1]
     # maximum/minimum is np.clip without its dispatch overhead
     np.maximum(v, 0.0, out=v)
     np.minimum(v, scale[2], out=v)
-    del scale
 
     if use_rice:
         fixed_bytes = (widths * counts + 7) // 8
@@ -264,14 +263,16 @@ def encode_parts(coeffs, edges, widths, *, min_width: int = 1,
     # the sum is their OR).  A band that is not fixed-width has w == 0 and
     # value 0: it adds nothing.
     value = v.reshape(-1).astype(np.int64)
+    del v, scale  # the packer's working set stays small
     if any_rice:
         value[np.repeat(choose_rice.reshape(-1), lay.part_count)] = 0
-    w_e, pos = np.repeat(np.array([w_fixed.reshape(-1), 8 * part_at + 16]),
-                         lay.part_count, axis=1)
+    w_e = np.repeat(w_fixed.reshape(-1), lay.part_count)
+    pos = np.repeat(8 * part_at + 16, lay.part_count)
     shift = (w_e.reshape(n_frames, n_bins) * lay.within).reshape(-1)
     pos += shift
     np.bitwise_and(pos, 15, out=shift)
     shift += w_e
+    del w_e
     np.subtract(32, shift, out=shift)
     value <<= shift  # the field in its window
     cell = np.right_shift(pos, 4, out=pos)
@@ -440,8 +441,10 @@ def read_bands(buf: np.ndarray, walks: list, n_frames: int,
         )
         bit0 += (w.reshape(-1, lay.n_bins) * lay.within).reshape(-1)
         field = _read_fields(buf, bit0, w)
-        # offset binary back to signed, times 2**exp; 0.0 where w == 0
-        values = (field - ((1 << w) >> 1)) * np.ldexp(1.0, exp)
+        # offset binary back to signed, times 2**exp (exact); 0.0 where
+        # w == 0
+        field -= (1 << w) >> 1
+        values = np.ldexp(field, exp)
     else:
         values = np.zeros(len(walks) * n_frames * lay.n_bins)
 

@@ -31,27 +31,25 @@ def sine_window(size: int) -> np.ndarray:
 
 def _fold(frames: np.ndarray) -> np.ndarray:
     """Fold windowed 2N-sample frames to N points (last axis)."""
-    two_n = frames.shape[-1]
-    n = two_n // 2
-    half = n // 2
-    a = frames[..., 0:half]
-    b = frames[..., half : 2 * half]
-    c = frames[..., 2 * half : 3 * half]
-    d = frames[..., 3 * half :]
-    return np.concatenate(
-        [-c[..., ::-1] - d, a - b[..., ::-1]], axis=-1
-    )
+    half = frames.shape[-1] // 4
+    a, b, c, d = (frames[..., i * half : (i + 1) * half] for i in range(4))
+    out = np.empty(frames.shape[:-1] + (2 * half,))
+    lo = np.negative(c[..., ::-1], out=out[..., :half])
+    lo -= d
+    np.subtract(a, b[..., ::-1], out=out[..., half:])
+    return out
 
 
 def _unfold(folded: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`_fold`: N points back to 2N samples."""
     half = folded.shape[-1] // 2
-    neg = -folded  # one negation serves three quarters
-    n1 = neg[..., :half]
-    return np.concatenate(
-        [folded[..., half:], neg[..., half:][..., ::-1], n1[..., ::-1], n1],
-        axis=-1,
-    )
+    lo, hi = folded[..., :half], folded[..., half:]
+    out = np.empty(folded.shape[:-1] + (4 * half,))
+    out[..., :half] = hi
+    np.negative(hi[..., ::-1], out=out[..., half : 2 * half])
+    np.negative(lo[..., ::-1], out=out[..., 2 * half : 3 * half])
+    np.negative(lo, out=out[..., 3 * half :])
+    return out
 
 
 def mdct(frames: np.ndarray) -> np.ndarray:
@@ -87,7 +85,9 @@ def mdct_analysis(signal: np.ndarray, n: int = 512) -> tuple[np.ndarray, int]:
         strides=padded.strides[:-1] + (n * step, step),
         writeable=False,
     )
-    return mdct(frames * sine_window(2 * n)), length
+    windowed = frames * sine_window(2 * n)
+    del frames, padded  # a group's planes: free them before the transform
+    return mdct(windowed), length
 
 
 def mdct_synthesis(coeffs: np.ndarray, length: int) -> np.ndarray:
@@ -103,7 +103,8 @@ def mdct_synthesis(coeffs: np.ndarray, length: int) -> np.ndarray:
     ``tests/oracles/codec.py``).
     """
     *lead, num_frames, n = coeffs.shape
-    chunks = imdct(coeffs) * sine_window(2 * n)
+    chunks = imdct(coeffs)
+    chunks *= sine_window(2 * n)
     out = np.zeros((*lead, num_frames + 1, n))
     out[..., :-1, :] += chunks[..., :n]
     out[..., 1:, :] += chunks[..., n:]
