@@ -10,13 +10,13 @@ the periodic control packet (§2.3).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List
 
 import numpy as np
 
 from repro.audio.encodings import encode_samples
 from repro.codec.cache import DecodedBlock
-from repro.codec.queue import CodecQueue
+from repro.codec.queue import QUEUE
 
 
 class CodecID(enum.IntEnum):
@@ -36,33 +36,24 @@ class BlockCodec:
     independent: losing one packet never corrupts the next (required for a
     multicast receiver with no retransmission path).
 
-    Both run through :attr:`queue` (see :mod:`repro.codec.queue`): a
-    block is computed together with every block of its group handed over
-    so far, by the group kernels ``encode_blocks``/``decode_blocks``.  A
-    codec computes its blocks one at a time (``_encode_one`` /
-    ``_decode_one``) unless it overrides them.
+    Both run through :data:`~repro.codec.queue.QUEUE`: a block is
+    computed together with every block of its group handed over so far,
+    by the group kernels ``encode_blocks``/``decode_blocks``.  A codec
+    computes its blocks one at a time (``_encode_one`` / ``_decode_one``)
+    unless it overrides them.
     """
 
     codec_id: CodecID
 
-    #: the queue this codec's blocks are handed to: the owning
-    #: component's, or one of its own made on first use
-    queue: Optional[CodecQueue] = None
-
     def encode_block(self, samples: np.ndarray) -> bytes:
         """The block's wire bytes."""
-        return self._queue().take(self, "encode", samples)
+        return QUEUE.take(self, "encode", samples)
 
     def decode_block(self, data: bytes, params=None):
         """The block's samples; with ``params`` (the device's
         :class:`~repro.audio.params.AudioParams`) a
         :class:`~repro.codec.cache.DecodedBlock` of PCM in that format."""
-        return self._queue().take(self, "decode", data, params)
-
-    def _queue(self) -> CodecQueue:
-        if self.queue is None:
-            self.queue = CodecQueue()
-        return self.queue
+        return QUEUE.take(self, "decode", data, params)
 
     def batch_key(self, op: str) -> Hashable:
         """Codecs with equal keys compute ``op`` ("encode"/"decode")
@@ -71,32 +62,21 @@ class BlockCodec:
         return id(self)
 
     def encode_blocks(self, blocks: List[np.ndarray]) -> list:
-        """Each block's wire bytes, or the exception it raises alone."""
-        return [_attempt(self._encode_one, b) for b in blocks]
+        """Each block's wire bytes."""
+        return [self._encode_one(b) for b in blocks]
 
     def decode_blocks(self, payloads: list, params=None) -> list:
-        """Each payload's :meth:`decode_block` result, or the exception
-        it raises alone."""
-        out = [_attempt(self._decode_one, data) for data in payloads]
+        """Each payload's :meth:`decode_block` result."""
+        out = [self._decode_one(data) for data in payloads]
         if params is None:
             return out
-        return [r if isinstance(r, Exception)
-                else _attempt(lambda s: decoded_blocks(s[None], params)[0], r)
-                for r in out]
+        return [decoded_blocks(s[None], params)[0] for s in out]
 
     def _encode_one(self, samples: np.ndarray) -> bytes:
         raise NotImplementedError
 
     def _decode_one(self, data: bytes) -> np.ndarray:
         raise NotImplementedError
-
-
-def _attempt(fn, arg):
-    """``fn(arg)``, or the exception it raised."""
-    try:
-        return fn(arg)
-    except Exception as exc:  # noqa: BLE001 — the member's own outcome
-        return exc
 
 
 def decoded_blocks(samples: np.ndarray, params) -> List[DecodedBlock]:

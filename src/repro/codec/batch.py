@@ -30,8 +30,8 @@ every part is byte-aligned each block's body is a slice of the output.
   :func:`~repro.codec.rice.rice_decode`.
 
 Everything that depends only on the band edges and the frame count —
-the bin → band map, part start bins, the walk's size tables — is
-computed once per ``(edges, n_frames)`` and cached.
+the bin → band map, part start bins — is computed once per
+``(edges, n_frames)`` and cached.
 
 The format is defined by scalar per-frame, per-band walks, kept as the
 oracle in ``tests/oracles/codec.py``.  Wire bytes and decoded samples
@@ -80,10 +80,6 @@ class _Layout(NamedTuple):
     part_first: np.ndarray  # flat (frame, bin) index of a part's first bin
     part_count: np.ndarray  # bins in each part
     within: np.ndarray     # each bin's index in its band (one frame)
-    #: per part, the part's size in bytes for each tag byte value: 1 for
-    #: tag 0, the descriptors plus the payload for widths 1..16, and 0
-    #: for the tags the fast walk leaves to the exact one (Rice, > 16)
-    sizes: tuple
 
 
 @lru_cache(maxsize=32)
@@ -102,20 +98,10 @@ def _layout(edges: tuple, n_frames: int) -> _Layout:
         part_count=np.tile(counts, n_frames),
         within=(np.arange(n_bins)
                 - np.repeat(edges_a[:-1], counts)).astype(np.int32),
-        sizes=_part_sizes(tuple(counts.tolist())) * n_frames,
     )
-    for arr in layout[2:-1]:
+    for arr in layout[2:]:
         arr.flags.writeable = False  # shared by every call
     return layout
-
-
-@lru_cache(maxsize=32)
-def _part_sizes(counts: tuple) -> tuple:
-    return tuple(
-        (1,) + tuple(2 + ((w * c + 7) >> 3) for w in range(1, 17))
-        + (0,) * (256 - 17)
-        for c in counts
-    )
 
 
 def _edges_key(edges) -> tuple:
@@ -366,24 +352,6 @@ def walk_bands(data, offset: int, n_frames: int, edges, *,
     end = len(data)
     # payload offset of every fixed-width part, 0 for the others (a
     # payload follows its two descriptor bytes, so 0 is never one)
-    fixed_at = [0] * len(lay.part_count)
-    # the fast walk: sizes by table, for streams of fixed-width and
-    # inactive parts that end in bounds.  Anything else is walked again
-    # below, which raises the first bad band's error.
-    at = offset
-    try:
-        for part, table in enumerate(lay.sizes):
-            size = table[data[at]]
-            if size > 1:
-                fixed_at[part] = base + at + 2
-            elif not size:
-                break
-            at += size
-        else:
-            if at <= end:
-                return Walk(fixed_at, [], at)
-    except IndexError:
-        pass  # a tag past the end
     fixed_at = [0] * len(lay.part_count)
     rice_parts: list = []
     for part, count in enumerate(lay.count_list * n_frames):

@@ -3,10 +3,10 @@
 The simulator charges codec work to virtual CPUs, and a block's bytes
 are only needed once its charge ends.  Station channels run in
 lock-step, so by the time the first channel's charge ends every other
-channel has handed its block over too.  A :class:`CodecQueue` collects
-those blocks: a component **hands a block over** when its CPU charge
-starts (:meth:`CodecQueue.encode` / :meth:`CodecQueue.decode`), reads
-the result after the charge through the codec's own
+channel has handed its block over too.  :data:`QUEUE` collects those
+blocks: a component **hands a block over** when its CPU charge starts
+(:meth:`CodecQueue.encode` / :meth:`CodecQueue.decode`), reads the
+result after the charge through the codec's own
 ``encode_block``/``decode_block``, and **releases** it when done.  The
 first demand in a group computes every block of the group handed over
 so far in one stacked kernel call (``encode_blocks`` /
@@ -15,14 +15,17 @@ so far in one stacked kernel call (``encode_blocks`` /
 A group is the blocks whose codecs share a ``batch_key`` — the same
 encoder configuration, or the same decoder configuration and device
 format — so any member's codec computes any other's block exactly as
-alone.  A kernel returns each block's result or the exception encoding
-or decoding that block alone raises; the exception is raised at that
-member's own demand only.
+alone.  A kernel returns each block's result or the exception that
+block raises alone; should the kernel itself raise, every block of the
+group is computed alone.  An exception is raised at its own member's
+demand only.
 
 Only host work moves: results are pure functions of the block, so when
 and with whom a block is computed never changes what it decodes to, and
-virtual time never sees the queue.  A block whose owner is gone —
-crashed during its charge, or served by a cache — is released without
+virtual time never sees the queue.  That is also why there is one queue
+for the whole process: blocks of two systems that share a group are
+computed together, each exactly as alone.  A block whose owner is gone
+— crashed during its charge, or served by a cache — is released without
 being demanded; if its group has not run, it leaves the queue
 uncomputed.
 """
@@ -49,7 +52,7 @@ class Pending:
 
 
 class CodecQueue:
-    """Handed-over codec blocks of one system, by group."""
+    """Handed-over codec blocks, by group."""
 
     def __init__(self):
         #: every held block, by (group, item key)
@@ -103,17 +106,16 @@ class CodecQueue:
         it has not run; raises the exception the block raises alone."""
         if not entry.done:
             op, _, params = group = entry.key[0]
-            batch = list(self._waiting.pop(group).values())
-            items = [e.item for e in batch]
-            if op == "encode":
-                results = codec.encode_blocks(items)
-            else:
-                results = codec.decode_blocks(items, params)
+            batch = list(self._waiting[group].values())
+            results = _compute(codec, op, params, [e.item for e in batch])
+            del self._waiting[group]
             for e, res in zip(batch, results):
                 e.result = res
                 e.done = True
         if isinstance(entry.result, Exception):
-            raise entry.result
+            # a shared payload's exception is raised at each holder's
+            # demand: each raise starts a fresh traceback
+            raise entry.result.with_traceback(None)
         return entry.result
 
     def take(self, codec, op: str, item, params: Optional[object] = None):
@@ -125,3 +127,20 @@ class CodecQueue:
             return self.result(codec, entry)
         finally:
             self.release(entry)
+
+
+def _compute(codec, op: str, params, items: list) -> list:
+    """Each item's result or exception: from one group kernel call, or,
+    if the kernel raises, from each item's own call."""
+    try:
+        if op == "encode":
+            return codec.encode_blocks(items)
+        return codec.decode_blocks(items, params)
+    except Exception as exc:  # noqa: BLE001 — the item's own outcome
+        if len(items) == 1:
+            return [exc]
+        return [_compute(codec, op, params, [item])[0] for item in items]
+
+
+#: the queue every codec hands its blocks to
+QUEUE = CodecQueue()

@@ -32,6 +32,7 @@ from repro.codec.batch import (
 )
 from repro.codec.mdct import mdct_analysis, mdct_synthesis
 from repro.codec.psycho import PsychoModel
+from repro.codec.queue import QUEUE
 
 _HEADER = struct.Struct("<BBBBIH")  # codec, quality, channels, log2n, samples, frames
 
@@ -103,22 +104,14 @@ class VorbisLikeCodec(BlockCodec):
     def encode_block(self, samples: np.ndarray) -> bytes:
         """One block, encoded with every block of its group handed over
         so far (:meth:`encode_blocks`)."""
-        return self._queue().take(self, "encode", samples)
+        return QUEUE.take(self, "encode", samples)
 
     def encode_blocks(self, blocks: list) -> list:
         """Every block through one stacked pass of the kernels: one MDCT,
         one bit allocation and one band-coding call per block geometry
         (frame size and length), each block's body a slice of the
-        output.  Should any block fail, each is encoded alone, so every
-        block gets its own bytes or its own exception."""
-        try:
-            return self._encode_stacked(blocks)
-        except Exception as exc:  # noqa: BLE001 — a member's own outcome
-            if len(blocks) == 1:
-                return [exc]
-            return [self.encode_blocks([b])[0] for b in blocks]
-
-    def _encode_stacked(self, blocks: list) -> list:
+        output.  Should any block fail, this raises, and the queue
+        encodes each block alone."""
         planes, sizes = zip(*[self._planes(b) for b in blocks])
         out = [b""] * len(blocks)
         for (frame_size, length), idx in _by_key(
@@ -213,13 +206,14 @@ class VorbisLikeCodec(BlockCodec):
         """One block, decoded with every payload of its group handed over
         so far (:meth:`decode_blocks`): its samples, or with ``params``
         its :class:`~repro.codec.cache.DecodedBlock`."""
-        return self._queue().take(self, "decode", data, params)
+        return QUEUE.take(self, "decode", data, params)
 
     def decode_blocks(self, payloads: list, params=None) -> list:
         """Each payload's header and band descriptors are walked alone,
         so a malformed payload fails by itself.  Then one field read,
         one synthesis and (with ``params``) one PCM conversion serve
-        every sound payload of the same geometry."""
+        every sound payload of the same geometry; should those fail,
+        this raises, and the queue decodes each payload alone."""
         out = [None] * len(payloads)
         bases = np.cumsum([0] + [len(data) for data in payloads]).tolist()
         walked: dict = {}
@@ -237,16 +231,13 @@ class VorbisLikeCodec(BlockCodec):
         for (channels, log2n, num_frames, num_samples), members in (
             walked.items()
         ):
-            try:
-                coeffs = read_bands(buf, [w for _, w, _ in members],
-                                    channels * num_frames, members[0][2])
-                samples = _samples(coeffs.reshape(
-                    len(members), channels, num_frames, 1 << log2n
-                ), num_samples)
-                results = (list(samples) if params is None
-                           else decoded_blocks(samples, params))
-            except Exception as exc:  # noqa: BLE001 — alike for all members
-                results = [exc] * len(members)
+            coeffs = read_bands(buf, [w for _, w, _ in members],
+                                channels * num_frames, members[0][2])
+            samples = _samples(coeffs.reshape(
+                len(members), channels, num_frames, 1 << log2n
+            ), num_samples)
+            results = (list(samples) if params is None
+                       else decoded_blocks(samples, params))
             for (i, _, _), res in zip(members, results):
                 out[i] = res
         return out

@@ -25,7 +25,7 @@ from repro.audio.params import AudioParams
 from repro.codec.base import CodecID, get_codec
 from repro.codec.cache import EncodeCache, EncodedBlock
 from repro.codec.cost import DEFAULT_COSTS, estimated_ratio
-from repro.codec.queue import CodecQueue
+from repro.codec.queue import QUEUE
 from repro.core.channel import ChannelConfig
 from repro.core.protocol import EPOCH_MOD, SEQ_MOD, ControlPacket, DataPacket
 from repro.core.ratelimiter import RateLimiter
@@ -83,7 +83,6 @@ class Rebroadcaster:
         telemetry=None,
         epoch: int = 0,
         encode_cache: Optional[EncodeCache] = None,
-        codec_queue: Optional[CodecQueue] = None,
     ):
         self.machine = machine
         self.channel = channel
@@ -101,9 +100,6 @@ class Rebroadcaster:
         #: bytes instead of re-encoding.  Host-side only — the virtual
         #: CPU is charged the full encode cost before the lookup.
         self.encode_cache = encode_cache
-        #: where blocks wait for their encode (the system's, shared by
-        #: every channel, or this producer's own)
-        self.codec_queue = codec_queue if codec_queue is not None else CodecQueue()
         self.stats = RebroadcasterStats()
         # one label per channel so system-level conservation can sum with
         # Telemetry.total(); a standby on the same channel adds into it
@@ -245,7 +241,6 @@ class Rebroadcaster:
                 )
         elif self._encoder is None:
             self._encoder = get_codec(self._codec_id)
-        self._encoder.queue = self.codec_queue
         return self._encoder
 
     def _handle_data(self, sock, payload: bytes):
@@ -326,7 +321,7 @@ class Rebroadcaster:
         # lookup stays after the charge, and a hit changes host
         # wall-clock only — never sim time
         samples = decode_samples(payload, params)
-        pending = self.codec_queue.encode(encoder, samples)
+        pending = QUEUE.encode(encoder, samples)
         try:
             if cycles > 0:
                 yield machine.cpu.run(cycles, domain="user")
@@ -344,7 +339,7 @@ class Rebroadcaster:
                 cache.put(key, EncodedBlock(wire=wire))
             return wire, False
         finally:
-            self.codec_queue.release(pending)
+            QUEUE.release(pending)
 
     def _send_control(self, sock):
         if self._params is None:

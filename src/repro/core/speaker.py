@@ -28,7 +28,7 @@ from repro.audio.encodings import decode_samples, encode_samples
 from repro.audio.params import AudioParams
 from repro.codec.base import CodecID, get_codec
 from repro.codec.cache import DecodeCache
-from repro.codec.queue import CodecQueue
+from repro.codec.queue import QUEUE
 from repro.codec.cost import DEFAULT_COSTS
 from repro.core.protocol import (
     SEQ_MOD,
@@ -126,7 +126,6 @@ class EthernetSpeaker:
         name: str = "",
         telemetry=None,
         decode_cache: Optional[DecodeCache] = None,
-        codec_queue: Optional[CodecQueue] = None,
     ):
         self.machine = machine
         self.group_ip = group_ip
@@ -147,9 +146,6 @@ class EthernetSpeaker:
         #: shared across every speaker on the channel.  ``None`` decodes
         #: privately (the pre-fan-out-fast-path behaviour).
         self.decode_cache = decode_cache
-        #: where payloads wait for their decode (the system's, shared by
-        #: every speaker, or this speaker's own)
-        self.codec_queue = codec_queue if codec_queue is not None else CodecQueue()
         self._last_pcm: Optional[bytes] = None
         #: playback gain (§5.2's knob); 1.0 = unity
         self.gain = 1.0
@@ -690,7 +686,7 @@ class EthernetSpeaker:
                 and not packet.synthetic and packet.codec_id != CodecID.RAW):
             key = cache.key_for(packet.payload, packet.codec_id, params)
             if key not in cache:
-                pending = self.codec_queue.decode(
+                pending = QUEUE.decode(
                     self._get_decoder(packet.codec_id), packet.payload, params
                 )
         try:
@@ -699,7 +695,7 @@ class EthernetSpeaker:
             return self._decoded(packet, params, key)
         finally:
             if pending is not None:
-                self.codec_queue.release(pending)
+                QUEUE.release(pending)
 
     def _decoded(self, packet: DataPacket, params: AudioParams, key):
         """The decode itself, once its CPU charge has run; ``key`` is
@@ -748,6 +744,5 @@ class EthernetSpeaker:
                 )
             else:
                 self._decoder = get_codec(codec_id)
-            self._decoder.queue = self.codec_queue
             self._decoder_key = key
         return self._decoder

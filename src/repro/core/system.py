@@ -29,7 +29,6 @@ import numpy as np
 from repro.audio.encodings import encode_samples
 from repro.audio.params import AudioParams, CD_QUALITY
 from repro.codec.cache import DecodeCache, EncodeCache
-from repro.codec.queue import CodecQueue
 from repro.core.channel import ChannelConfig
 from repro.core.cohort import SpeakerCohort
 from repro.core.failover import WarmStandby
@@ -170,10 +169,6 @@ class EthernetSpeakerSystem:
         #: stations encode each raw block once (a rebroadcaster built with
         #: ``encode_cache=None`` encodes every block itself)
         self.encode_cache = EncodeCache(telemetry=telemetry, name="system")
-        #: codec blocks handed over while their CPU charge runs: every
-        #: rebroadcaster and speaker of the system shares it, so blocks
-        #: of lock-stepped channels are encoded (decoded) in one group
-        self.codec_queue = CodecQueue()
         self.lan = EthernetSegment(
             self.sim,
             bandwidth_bps=bandwidth_bps,
@@ -294,7 +289,6 @@ class EthernetSpeakerSystem:
     ) -> Rebroadcaster:
         kwargs.setdefault("telemetry", self.telemetry)
         kwargs.setdefault("encode_cache", self.encode_cache)
-        kwargs.setdefault("codec_queue", self.codec_queue)
         rb = Rebroadcaster(
             producer.machine, channel, master_path=master_path, **kwargs
         )
@@ -340,7 +334,6 @@ class EthernetSpeakerSystem:
             machine.start_housekeeping()
         speaker_kwargs.setdefault("telemetry", self.telemetry)
         speaker_kwargs.setdefault("decode_cache", self.decode_cache)
-        speaker_kwargs.setdefault("codec_queue", self.codec_queue)
         group_ip = channel.group_ip if channel is not None else None
         port = channel.port if channel is not None else 0
         speaker = EthernetSpeaker(
@@ -387,7 +380,6 @@ class EthernetSpeakerSystem:
         name = name or f"cohort{len(self.cohorts)}"
         segment = self._segment_of(lan)
         speaker_kwargs.setdefault("decode_cache", self.decode_cache)
-        speaker_kwargs.setdefault("codec_queue", self.codec_queue)
         cohort = SpeakerCohort(
             self.sim, segment, members, channel.group_ip, channel.port,
             ip=self._next_ip(), vlan=vlan, cpu_freq_hz=cpu_freq_hz,
@@ -586,7 +578,6 @@ class EthernetSpeakerSystem:
         self._mirrors.setdefault(id(producer), []).append(node)
         rb_kwargs.setdefault("telemetry", self.telemetry)
         rb_kwargs.setdefault("encode_cache", self.encode_cache)
-        rb_kwargs.setdefault("codec_queue", self.codec_queue)
         rb = Rebroadcaster(node.machine, channel, **rb_kwargs)
         self.rebroadcasters.append(rb)
         standby = WarmStandby(

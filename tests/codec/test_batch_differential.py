@@ -11,6 +11,7 @@ empty blocks, every Rice parameter a band tag can carry (0..127), and
 random byte-level corruption.
 """
 
+import traceback
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.codec.batch import (
 from repro.codec.cache import DecodedBlock
 from repro.codec.mdct import mdct_analysis, mdct_synthesis
 from repro.codec.mp3like import Mp3LikeCodec
-from repro.codec.queue import CodecQueue
+from repro.codec.queue import QUEUE
 from repro.codec.rice import rice_decode
 from repro.codec.vorbislike import VorbisLikeCodec, _model
 from tests.oracles.codec import (
@@ -580,17 +581,24 @@ def _outcome_of(call, *args):
     return ("ok", out if isinstance(out, bytes) else out.tobytes())
 
 
-def _demand_all(queue, codecs, handed, demand, rnd):
-    """Demand every handed-over member in a random order; each outcome
-    by member index.  Everything is released after."""
-    order = list(range(len(handed)))
+def _demand_all(codecs, hand_over, demand, rnd, distinct=None):
+    """Hand every member over, then demand each in a random order; each
+    outcome by member index.  Everything is released after, leaving the
+    queue as it was; ``distinct`` is how many entries the hand-overs
+    add, if known."""
+    order = list(range(len(codecs)))
+    # drawn before any hand-over: hypothesis may stop the example here
     rnd.shuffle(order)
+    before = len(QUEUE)
+    handed = [hand_over(codec, i) for i, codec in enumerate(codecs)]
+    if distinct is not None:
+        assert len(QUEUE) == before + distinct
     got = {}
     for i in order:
         got[i] = _outcome_of(demand, codecs[i], i)
-        queue.release(handed[i])
-    assert len(queue) == 0
-    return [got[i] for i in range(len(handed))]
+        QUEUE.release(handed[i])
+    assert len(QUEUE) == before
+    return [got[i] for i in range(len(codecs))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -604,12 +612,9 @@ def test_vorbis_encode_group_equals_each_block_alone(members, shared, rnd):
     configs = [{k: m[k] for k in _CONFIG} for m in members]
     alone = [_outcome_of(VorbisLikeCodec(**cfg).encode_block, x)
              for cfg, x in zip(configs, blocks)]
-    queue = CodecQueue()
     codecs = [VorbisLikeCodec(**cfg) for cfg in configs]
-    for codec in codecs:
-        codec.queue = queue
-    handed = [queue.encode(c, x) for c, x in zip(codecs, blocks)]
-    got = _demand_all(queue, codecs, handed,
+    got = _demand_all(codecs,
+                      lambda codec, i: QUEUE.encode(codec, blocks[i]),
                       lambda codec, i: codec.encode_block(blocks[i]), rnd)
     assert got == alone
 
@@ -647,15 +652,12 @@ def test_vorbis_decode_group_equals_each_payload_alone(
                           device_channels) if with_params else None)
     alone = [_outcome_of(VorbisLikeCodec(sample_rate=sample_rate)
                          .decode_block, p, params) for p in payloads]
-    queue = CodecQueue()
     codecs = [VorbisLikeCodec(sample_rate=sample_rate) for _ in payloads]
-    for codec in codecs:
-        codec.queue = queue
-    handed = [queue.decode(c, p, params) for c, p in zip(codecs, payloads)]
-    assert len(queue) == len(set(payloads))
     got = _demand_all(
-        queue, codecs, handed,
+        codecs,
+        lambda codec, i: QUEUE.decode(codec, payloads[i], params),
         lambda codec, i: codec.decode_block(payloads[i], params), rnd,
+        distinct=len(set(payloads)),
     )
     assert got == alone
 
@@ -666,10 +668,9 @@ def test_group_runs_once_and_errors_stay_with_their_block():
     their bytes and the bad block raises — at its own demand only."""
     rng = np.random.default_rng(11)
     blocks = [_signal(rng, 3000, channels, "noise") for channels in (1, 3, 2)]
-    queue = CodecQueue()
+    before = len(QUEUE)
     codec = VorbisLikeCodec(quality=10)
-    codec.queue = queue
-    handed = [queue.encode(codec, x) for x in blocks]
+    handed = [QUEUE.encode(codec, x) for x in blocks]
     first = codec.encode_block(blocks[0])
     assert all(entry.done for entry in handed)
     assert first == VorbisLikeCodec(quality=10).encode_block(blocks[0])
@@ -678,5 +679,63 @@ def test_group_runs_once_and_errors_stay_with_their_block():
     assert codec.encode_block(blocks[2]) == VorbisLikeCodec(
         quality=10).encode_block(blocks[2])
     for entry in handed:
-        queue.release(entry)
-    assert len(queue) == 0
+        QUEUE.release(entry)
+    assert len(QUEUE) == before
+
+
+class _Interrupt(BaseException):
+    """Stands in for a KeyboardInterrupt inside a group kernel."""
+
+
+@pytest.mark.parametrize("fails", ["groups", "always", "interrupt"])
+def test_a_raising_kernel_leaves_each_member_its_own_outcome(monkeypatch,
+                                                             fails):
+    """A group kernel that raises instead of returning one outcome per
+    block: the queue decodes every payload alone, so each member gets
+    what it gets alone.  A kernel that always raises gives every member
+    its own call's exception, raised at each demand with a fresh
+    traceback.  An interrupt propagates and leaves the group waiting,
+    so a later demand still gets the block's own result.  Either way the
+    releases leave nothing behind."""
+    rng = np.random.default_rng(5)
+    payloads = [VorbisLikeCodec().encode_block(_signal(rng, 1536, 1, "noise"))
+                for _ in range(3)]
+    alone = [_outcome_of(VorbisLikeCodec().decode_block, p)
+             for p in payloads]
+    kernel = VorbisLikeCodec.decode_blocks
+    calls = []
+
+    def raising(self, items, params=None):
+        calls.append(len(items))
+        if fails == "interrupt" and len(calls) == 1:
+            raise _Interrupt
+        if fails == "always" or fails == "groups" and len(items) > 1:
+            raise RuntimeError(f"kernel failed on {len(items)}")
+        return kernel(self, items, params)
+
+    monkeypatch.setattr(VorbisLikeCodec, "decode_blocks", raising)
+    before = len(QUEUE)
+    codec = VorbisLikeCodec()
+    # the last hand-over shares the first payload's entry
+    handed = [QUEUE.decode(codec, p) for p in payloads + payloads[:1]]
+    if fails == "interrupt":
+        with pytest.raises(_Interrupt):
+            codec.decode_block(payloads[1])
+    depths = []
+    got = []
+    for p in payloads + payloads[:1]:
+        try:
+            got.append(_outcome_of(codec.decode_block, p))
+            codec.decode_block(p)
+        except RuntimeError as exc:
+            depths.append(len(traceback.extract_tb(exc.__traceback__)))
+    if fails == "always":
+        assert calls == [3, 1, 1, 1]
+        assert got == [("RuntimeError", "kernel failed on 1")] * 4
+        assert len(set(depths)) == 1
+    else:
+        assert calls == ([3, 1, 1, 1] if fails == "groups" else [3, 3])
+        assert got == alone + alone[:1]
+    for entry in handed:
+        QUEUE.release(entry)
+    assert len(QUEUE) == before
