@@ -11,6 +11,7 @@ sizing on a 233 MHz CPU) reproduce bit-for-bit on any machine.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Optional
 
 
@@ -26,7 +27,7 @@ _DEPTH_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384)
 class Event:
     """A cancellation handle, returned by :meth:`Simulator.schedule`.
 
-    The queue itself holds plain ``(time, seq, fn, args, handle)`` tuples.
+    The heap itself holds plain ``(time, seq, fn, args, handle)`` tuples.
     ``seq`` breaks ties between entries for the same instant, preserving
     FIFO order of scheduling, and is unique, so no comparison ever reaches
     ``fn``.  Fire-and-forget entries carry ``None`` as their handle.
@@ -67,9 +68,9 @@ class Simulator:
         #: (vmstat), so the event loop must not import metrics.
         self.telemetry = None
         self._batch_events = 0
-        #: ``(fn, args)`` of the entry that runs next, or None: see
-        #: :meth:`schedule_transient`
-        self._next: Optional[tuple] = None
+        #: ``(seq, fn, args)`` of the zero-delay transients due now, in
+        #: seq order: see :meth:`schedule_transient`
+        self._fifo: deque = deque()
 
     def set_telemetry(self, telemetry) -> None:
         """Attach a telemetry registry; pass ``None`` (or a disabled
@@ -132,19 +133,16 @@ class Simulator:
         (packet deliveries, process wakeups, CPU slice completions): the
         queue entry is the only object made.
 
-        A zero-delay entry made when nothing is queued for now would be
-        the next one popped: nothing queued before it is due, and
-        everything queued after it gets a larger seq.  It goes into the
-        next-entry slot instead of the heap, and runs as soon as the
-        callback that made it returns, as part of that callback's event.
+        A zero-delay entry is due now, so it goes to the back of the
+        now-FIFO instead of the heap.  The loop runs the FIFO's head
+        unless a heap entry due now has a smaller seq, and moves the
+        clock only once the FIFO is empty.
         """
         if delay == 0.0:
-            if self._next is None:
-                heap = self._heap
-                if not heap or heap[0][0] > self._now:
-                    self._next = (fn, args)
-                    return
-        elif not 0.0 < delay < _INF:
+            self._seq += 1
+            self._fifo.append((self._seq, fn, args))
+            return
+        if not 0.0 < delay < _INF:
             raise SimError(f"delay must be finite and >= 0: {delay}")
         self._seq += 1
         heapq.heappush(self._heap,
@@ -154,16 +152,26 @@ class Simulator:
         """Cancel a pending event.  Cancelling twice is harmless."""
         event.cancelled = True
 
-    def step(self) -> bool:
-        """Run the single earliest pending event (or the next-entry slot
-        filled outside the loop), then the entries it puts in the slot.
+    def _fifo_first(self) -> bool:
+        """Whether the FIFO's head is the entry that runs next: the FIFO
+        is not empty, and no heap entry due now has a smaller seq."""
+        fifo, heap = self._fifo, self._heap
+        return bool(fifo) and not (heap and heap[0][0] == self._now
+                                   and heap[0][1] < fifo[0][0])
 
-        Returns ``False`` when the queue is empty.  Re-raises the first
+    def step(self) -> bool:
+        """Run the earliest pending heap event, then the FIFO entries
+        that run before the next heap entry.  FIFO entries made outside
+        the loop (a spawn at set-up) that run before every heap entry
+        take the heap event's place.
+
+        Returns ``False`` when nothing is pending.  Re-raises the first
         unhandled process exception, as :meth:`run` does.
         """
-        ran = self._next is not None
-        while not ran and self._heap:
-            time, _, fn, args, handle = heapq.heappop(self._heap)
+        heap, fifo, unhandled = self._heap, self._fifo, self.unhandled
+        ran = False
+        while heap and not self._fifo_first():
+            time, _, fn, args, handle = heapq.heappop(heap)
             if handle is not None and handle.cancelled:
                 continue
             self.events_executed += 1
@@ -172,12 +180,13 @@ class Simulator:
             self._now = time
             fn(*args)
             ran = True
-        while self._next is not None and not self.unhandled:
-            fn, args = self._next
-            self._next = None
+            break
+        while not unhandled and self._fifo_first():
+            _, fn, args = fifo.popleft()
             fn(*args)
-        if self.unhandled:
-            raise self.unhandled[0]
+            ran = True
+        if unhandled:
+            raise unhandled[0]
         return ran
 
     def run(self, until: Optional[float] = None) -> float:
@@ -189,12 +198,24 @@ class Simulator:
         exception, if any.
         """
         heap = self._heap
+        fifo = self._fifo
         pop = heapq.heappop
+        popleft = fifo.popleft
         unhandled = self.unhandled
         limit = _INF if until is None else until
-        if self._next is not None and self._now <= limit:
-            self.step()
-        while heap:
+        now = self._now
+        while now <= limit:
+            if fifo:
+                top = heap[0] if heap else None
+                if (top is None or top[0] != now
+                        or top[1] > fifo[0][0]):
+                    _, fn, args = popleft()
+                    fn(*args)
+                    if unhandled:
+                        raise unhandled[0]
+                    continue
+            elif not heap:
+                break
             time, seq, fn, args, handle = pop(heap)
             if handle is not None and handle.cancelled:
                 continue
@@ -204,17 +225,10 @@ class Simulator:
             self.events_executed += 1
             if self.telemetry is not None:
                 self._record_step(time)
-            self._now = time
+            self._now = now = time
             fn(*args)
             if unhandled:
                 raise unhandled[0]
-            nxt = self._next
-            while nxt is not None:
-                self._next = None
-                nxt[0](*nxt[1])
-                if unhandled:
-                    raise unhandled[0]
-                nxt = self._next
         if until is not None and until > self._now:
             self._now = until
         if unhandled:
@@ -222,8 +236,7 @@ class Simulator:
         return self._now
 
     def pending(self) -> int:
-        """Number of not-yet-cancelled events in the queue, the
-        next-entry slot's included."""
-        return (self._next is not None) + sum(
+        """Number of not-yet-cancelled entries, the FIFO's included."""
+        return len(self._fifo) + sum(
             1 for entry in self._heap
             if entry[4] is None or not entry[4].cancelled)

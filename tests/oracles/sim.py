@@ -1,19 +1,19 @@
-"""Every scheduling hop queued: the simulator before its next-entry slot.
+"""Every scheduling hop queued: the simulator before its now-FIFO.
 
 The runtime skips two kinds of zero-delay queue entries.  A zero-delay
-``schedule_transient`` made while nothing is queued for the current
-instant goes into ``Simulator``'s next-entry slot and runs as soon as
-the callback that made it returns, instead of being pushed and popped
-as its own event.  And a finished CPU job queues at most one entry: a
-job whose process is alive queues one entry that steps the process and
-then dispatches, and any other job queues the dispatch only when the
-run queue holds work.
+``schedule_transient`` goes to ``Simulator``'s now-FIFO and runs before
+the clock moves, in seq order with the heap entries due now, instead of
+being pushed and popped as its own event.  And a finished CPU job
+queues at most one entry: a job whose process is alive queues one entry
+that steps the process and then dispatches, and any other job queues
+the dispatch only when the run queue holds work.
 
-:class:`HopOracle` puts the old behaviour back: no slot, and every
+:class:`HopOracle` puts the old behaviour back: no FIFO, and every
 finished job queues its process's wake hop and then a
 ``CPU._post_completion`` dispatch, two adjacent entries.  It counts, as
-``removable``, each slot fill and each dispatch the runtime merges or
-skips, so a differential test can require, for the same program::
+``removable``, each zero-delay transient and each dispatch the runtime
+merges or skips, so a differential test can require, for the same
+program::
 
     oracle_sim.events_executed == runtime_sim.events_executed + removable
 
@@ -41,22 +41,6 @@ class HopOracle:
         #: unreachable simulator of an earlier run.
         self._sims = weakref.WeakSet()
 
-    def fills_slot(self, sim) -> bool:
-        """The runtime's slot rule, evaluated on the oracle's queue.
-
-        The runtime fills its slot when the slot is empty and nothing
-        in its heap is due now.  The oracle's queue holds the runtime's
-        heap, the entry in the runtime's slot (due now: the clock cannot
-        pass it), and the dispatches the runtime merged or skipped (due
-        now at most, with no runtime entry).  So the runtime would fill
-        the slot exactly when every entry due now is such a dispatch.
-        """
-        heap, now = sim._heap, sim.now
-        if not heap or heap[0][0] > now:
-            return True
-        post = self._extra_post
-        return all(entry[2] == post for entry in heap if entry[0] <= now)
-
     def _push(self, sim, delay, fn, args) -> None:
         sim._seq += 1
         heapq.heappush(sim._heap, (sim.now + delay, sim._seq, fn, args,
@@ -65,7 +49,7 @@ class HopOracle:
     def schedule_transient(self, sim, delay, fn, *args) -> None:
         if not 0.0 <= delay < math.inf:
             raise SimError(f"delay must be finite and >= 0: {delay}")
-        if delay == 0.0 and sim in self._sims and self.fills_slot(sim):
+        if delay == 0.0 and sim in self._sims:
             self.removable += 1
         self._push(sim, delay, fn, args)
 

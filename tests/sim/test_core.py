@@ -122,12 +122,50 @@ def test_step_reraises_a_process_crash():
 
     Process.spawn(sim, body())
     sim.schedule(2.0, lambda: None)
-    assert sim.step() is True  # the first step arms the sleep
+    # the set-up spawn waits in the FIFO, ahead of every heap entry: the
+    # first step runs it alone, and it arms the sleep
+    assert sim.step() is True
+    assert (sim.now, sim.events_executed, sim.pending()) == (0.0, 0, 2)
+    # the sleep's expiry is the step's one heap event; the wake hop it
+    # queues runs from the FIFO in the same step
     with pytest.raises(ValueError, match="boom"):
         sim.step()
-    assert sim.now == 1.0
+    assert (sim.now, sim.events_executed) == (1.0, 1)
     with pytest.raises(ValueError, match="boom"):
         sim.step()
+
+
+def _interleaved(sim, log):
+    """Queue transients and cancellable entries due now, alternately."""
+    sim.schedule_transient(0.0, log.append, "t1")
+    sim.schedule(0.0, log.append, "h2")
+    sim.schedule_transient(0.0, log.append, "t3")
+    sim.schedule_at(sim.now, log.append, "h4")
+    sim.schedule_transient(0.0, log.append, "t5")
+
+
+def test_fifo_entries_merge_with_heap_entries_due_now_by_seq():
+    """Zero-delay transients run from the FIFO, cancellable entries due
+    now from the heap; together they run in seq order, and only the
+    heap entries count as events."""
+    sim = Simulator()
+    log = []
+    sim.schedule(1.0, _interleaved, sim, log)
+    sim.run()
+    assert log == ["t1", "h2", "t3", "h4", "t5"]
+    assert (sim.now, sim.events_executed) == (1.0, 3)
+
+
+def test_step_runs_one_heap_event_then_the_fifo_entries_before_the_next():
+    sim = Simulator()
+    log = []
+    sim.schedule(1.0, _interleaved, sim, log)
+    steps = []
+    while sim.step():
+        steps.append(list(log))
+    assert steps == [["t1"], ["t1", "h2", "t3"],
+                     ["t1", "h2", "t3", "h4", "t5"]]
+    assert sim.events_executed == 3
 
 
 def test_pending_counts_live_events():

@@ -1,15 +1,15 @@
-"""The next-entry slot against the hop oracle: same run, fewer events.
+"""The now-FIFO against the hop oracle: same run, fewer events.
 
-The runtime runs a zero-delay entry that would be popped next (a wake
-hop, a spawn or kill hop, a CPU dispatch) from the simulator's
-next-entry slot, as part of the event that made it; it queues no CPU
+The runtime runs every zero-delay transient (a wake hop, a spawn or
+kill hop, a CPU dispatch) from the simulator's now-FIFO, merged by seq
+with the heap entries due at the same instant; it queues no CPU
 dispatch that would find nothing to do, and folds a completion's hop
 and dispatch into one entry.  ``tests/oracles/sim.py`` queues every hop
-and every dispatch, the way the simulator used to.  Both arms must run
-generated programs (and the composed telemetry scenario) identically:
-the same step log in virtual time, the same CPU accounting, the same
-final clock.  The oracle runs exactly the events the runtime skipped on
-top of the runtime's own.
+and every dispatch on the heap, the way the simulator used to.  Both
+arms must run generated programs (and the composed telemetry scenario)
+identically: the same step log in virtual time, the same CPU
+accounting, the same final clock.  The oracle runs exactly the events
+the runtime skipped on top of the runtime's own.
 """
 
 import gc
@@ -67,6 +67,11 @@ OPS = st.one_of(
     # step: the control plane's advertisers come and go this way
     st.tuples(st.just("spawn"), DELAYS, CYCLES),
     st.tuples(st.just("kill"), st.integers(0, 7)),
+    # a cancellable entry due now, made from a running step: it stays
+    # on the heap, and its put wakes a getter through the FIFO, so it
+    # must run among the FIFO's entries by seq
+    st.tuples(st.just("timer"), st.sampled_from(["schedule", "schedule_at"]),
+              st.integers(0, 1)),
 )
 CONTROLS = st.tuples(
     st.integers(0, 24).map(lambda n: n * TICK),
@@ -118,6 +123,9 @@ def run_program(program):
             raise
         log.append((sim.now, name, "done"))
 
+    def timer(tag, q):
+        log.append((sim.now, tag, "timer", queues[q].put_nowait(tag)))
+
     def body(name, ops):
         for i, op in enumerate(ops):
             kind = op[0]
@@ -148,6 +156,13 @@ def run_program(program):
                     target = everyone[op[1] % len(everyone)]
                     target.kill()
                     value = target.name
+                elif kind == "timer":
+                    _, how, q = op
+                    if how == "schedule":
+                        sim.schedule(0.0, timer, f"{name}:{i}", q)
+                    else:
+                        sim.schedule_at(sim.now, timer, f"{name}:{i}", q)
+                    value = how
                 elif kind in ("unicast", "multicast"):
                     dst = IPS[op[1]] if kind == "unicast" else GROUP
                     value = sender.sendto(f"{name}:{i}".encode(),
@@ -206,7 +221,7 @@ def test_generated_programs_match_the_hop_oracle(program):
 
 def test_a_lone_wake_runs_inline():
     """The set-up spawn, the sleep's wake and the completion's step and
-    dispatch all run from the slot: two events (the sleep's expiry, the
+    dispatch all run from the FIFO: two events (the sleep's expiry, the
     slice's completion) where the oracle runs six (three hops, and a
     dispatch behind the last)."""
     def program():
@@ -227,11 +242,12 @@ def test_a_lone_wake_runs_inline():
     assert old_sim.events_executed == 6
 
 
-def test_a_busy_instant_keeps_the_hop():
-    """Two sleepers due together: the first wake waits behind the second
-    sleeper's expiry, the second behind the first's hop.  Neither may
-    use the slot, so both wakes hop in both arms; only the first spawn,
-    made at set-up with nothing queued, runs from the slot."""
+def test_a_busy_instant_queues_no_hop():
+    """Two sleepers due together.  ``a``'s expiry queues its wake hop
+    in the FIFO, but ``b``'s expiry, due at the same instant with a
+    smaller seq, runs first; then both hops run from the FIFO.  Only
+    the two expiries are events, where the oracle also pops the two
+    set-up spawns and the two hops."""
     order = []
 
     def program():
@@ -239,7 +255,7 @@ def test_a_busy_instant_keeps_the_hop():
 
         def body(name):
             yield Sleep(TICK)
-            order.append(name)
+            order.append((name, len(sim._fifo)))
 
         Process.spawn(sim, body("a"))
         Process.spawn(sim, body("b"))
@@ -247,17 +263,19 @@ def test_a_busy_instant_keeps_the_hop():
         return sim, None
 
     (new_sim, _), (old_sim, _), oracle = both_arms(program)
-    assert order == ["a", "b", "a", "b"]
-    assert (new_sim.events_executed, oracle.removable) == (5, 1)
+    # in the runtime, ``a`` steps with ``b``'s hop still in the FIFO
+    assert order == [("a", 1), ("b", 0), ("a", 0), ("b", 0)]
+    assert (new_sim.events_executed, oracle.removable) == (2, 4)
     assert old_sim.events_executed == 6
 
 
 def test_a_busy_completion_is_one_entry():
     """``a`` and ``b`` share a CPU and ``c`` wakes just as ``a``'s job
     ends.  The oracle queues ``a``'s hop and the dispatch of ``b``'s
-    job as two adjacent entries; the runtime queues one.  ``b``'s lone
-    completion then steps ``b`` from the slot, with no dispatch to
-    follow it."""
+    job as two adjacent entries; the runtime queues one, in the FIFO.
+    ``b``'s lone completion then steps ``b``, with no dispatch to
+    follow it.  The three timer events (``c``'s expiry and the two
+    completions) are the runtime's only events."""
     order = []
 
     def program():
@@ -281,16 +299,17 @@ def test_a_busy_completion_is_one_entry():
     (new_sim, new), (old_sim, old), oracle = both_arms(program)
     assert new == old
     assert order == [("a", TICK), ("c", TICK), ("b", 2 * TICK)] * 2
-    assert (new_sim.events_executed, oracle.removable) == (7, 4)
+    # three spawns, a's hop and the dispatch behind it, c's wake hop,
+    # b's hop and the dispatch the runtime skips behind it
+    assert (new_sim.events_executed, oracle.removable) == (3, 8)
     assert old_sim.events_executed == 11
 
 
 def test_a_lone_delivery_wakes_its_reader_inline():
     """A unicast copy is its own event: the reader blocked in recv()
-    steps from the slot right after it.  A multicast copy to both
-    readers rides one deliver_batch event: the first reader it wakes
-    steps from the slot after the batch, and the second, queued behind
-    it, keeps its hop."""
+    steps from the FIFO right after it.  A multicast copy to both
+    readers rides one deliver_batch event, and both readers it wakes
+    step from the FIFO after the batch, in the order it woke them."""
     got = []
 
     def program(dst):
@@ -308,20 +327,20 @@ def test_a_lone_delivery_wakes_its_reader_inline():
 
     (new_sim, _), (old_sim, _), oracle = both_arms(lambda: program(IPS[0]))
     assert got == [(b"ping", 2 * TICK)] * 2
-    assert (new_sim.events_executed, oracle.removable) == (2, 2)
+    # two set-up spawns and the reader's wake
+    assert (new_sim.events_executed, oracle.removable) == (1, 3)
     assert old_sim.events_executed == 4
 
     got.clear()
     (new_sim, _), (old_sim, _), oracle = both_arms(lambda: program(GROUP))
     assert got == [(b"ping", 2 * TICK)] * 4
-    assert (new_sim.events_executed, oracle.removable) == (3, 2)
+    assert (new_sim.events_executed, oracle.removable) == (1, 4)
     assert old_sim.events_executed == 5
 
 
 def test_spawn_and_kill_from_a_running_step_queue_no_entry():
     """A running process starts a child, and one tick later kills it.
-    Each hop would run next, so each runs from the slot: the heap never
-    holds them, and the runtime runs only the parent's two timer events
+    Each hop runs from the FIFO: the heap never holds them, and the runtime runs only the parent's two timer events
     (the child's cancelled timer is popped, not run)."""
     log = []
 
