@@ -150,7 +150,8 @@ class EntityAdvertiser:
         self._last_epoch: Optional[int] = None
         self._was_alive = False
         self._proc: Optional[Process] = None
-        self._sock = None
+        #: the advertising socket and the ENTITY_DISCOVER listener
+        self._sock = self._lsock = None
 
     def start(self) -> Process:
         self._proc = self.machine.spawn(
@@ -159,10 +160,17 @@ class EntityAdvertiser:
         return self._proc
 
     def stop(self) -> None:
-        """Silent stop (the advertiser itself dying); the lease lapses."""
+        """Silent stop (the advertiser itself dying); the lease lapses.
+
+        Both sockets are closed now: a kill cannot land inside a CPU
+        slice, and a restart must find the discovery port free."""
         if self._proc is not None:
             self._proc.kill()
             self._proc = None
+        for sock in (self._sock, self._lsock):
+            if sock is not None:
+                sock.close()
+        self._sock = self._lsock = None
 
     def depart(self) -> None:
         """Clean shutdown: one best-effort ENTITY_DEPARTING, then stop.
@@ -173,7 +181,8 @@ class EntityAdvertiser:
         """
         sock = self._sock
         if sock is None and self.stack is not None:
-            sock = self.stack.socket()
+            # never started: a socket for this one packet, closed below
+            sock = self._sock = self.stack.socket()
         if sock is not None:
             self.available_index = (
                 self.available_index + 1
@@ -245,9 +254,8 @@ class EntityAdvertiser:
         )
 
     def _run(self):
-        sock = self.stack.socket()
-        self._sock = sock
-        lsock = self._open_solicit_listener()
+        sock = self._sock = self.stack.socket()
+        lsock = self._lsock = self._open_solicit_listener()
         while True:
             alive = self.probe()
             if alive:
