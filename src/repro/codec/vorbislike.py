@@ -35,6 +35,9 @@ from repro.codec.psycho import PsychoModel
 from repro.codec.queue import QUEUE
 
 _HEADER = struct.Struct("<BBBBIH")  # codec, quality, channels, log2n, samples, frames
+#: frame sizes 64..4096: a header must not size a psychoacoustic model
+#: (and its cached band layout) beyond what an encoder can make
+_LOG2N = range(6, 13)
 
 
 @lru_cache(maxsize=16)
@@ -52,7 +55,7 @@ class VorbisLikeCodec(BlockCodec):
     sample_rate:
         used only by the psychoacoustic model's Bark mapping.
     frame_size:
-        MDCT coefficients per frame; must be a power of two.
+        MDCT coefficients per frame; a power of two from 64 to 4096.
     """
 
     codec_id = CodecID.VORBIS_LIKE
@@ -67,9 +70,10 @@ class VorbisLikeCodec(BlockCodec):
     ):
         if not 0 <= quality <= 10:
             raise ValueError(f"quality must be 0..10: {quality}")
-        if frame_size & (frame_size - 1) or frame_size < 64:
+        if frame_size & (frame_size - 1) or not 64 <= frame_size <= 4096:
             raise ValueError(
-                f"frame_size must be a power of two >= 64: {frame_size}"
+                "frame_size must be at most 4096 and a power of two"
+                f" >= 64: {frame_size}"
             )
         if entropy not in ("fixed", "rice"):
             raise ValueError(f"unknown entropy coder: {entropy}")
@@ -244,13 +248,25 @@ class VorbisLikeCodec(BlockCodec):
 
     def _parse(self, data):
         """``(channels, log2n, num_frames, num_samples)`` and the band
-        edges of a block, from its header."""
+        edges of a block, from its header.  The header is checked before
+        anything is sized from it: a frame size an encoder can make, the
+        frame count ``mdct_analysis`` gives for the sample count, and at
+        least one payload byte per plane frame."""
         codec, quality, channels, log2n, num_samples, num_frames = (
             _HEADER.unpack_from(data, 0)
         )
         if codec != int(self.codec_id):
             raise ValueError(f"not a vorbislike block (codec id {codec})")
-        edges = _model(self.sample_rate, 1 << log2n).edges
+        if log2n not in _LOG2N:
+            raise ValueError(f"vorbislike frame size 2**{log2n} out of range")
+        n = 1 << log2n
+        if num_frames != -(-num_samples // n) + 1:
+            raise ValueError(f"vorbislike header: {num_frames} frames for "
+                             f"{num_samples} samples of frame size {n}")
+        if channels * num_frames > len(data):
+            raise ValueError(f"vorbislike header: {channels} x {num_frames}"
+                             f" plane frames in {len(data)} bytes")
+        edges = _model(self.sample_rate, n).edges
         return (channels, log2n, num_frames, num_samples), edges
 
     def _decode(self, data: bytes, decode_bands) -> np.ndarray:

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.audio import music, segmental_snr_db, silence, sine, snr_db
+from repro.audio import (
+    AudioEncoding,
+    AudioParams,
+    music,
+    segmental_snr_db,
+    silence,
+    sine,
+    snr_db,
+)
 from repro.codec import CodecID, VorbisLikeCodec, get_codec
+from repro.codec.vorbislike import _HEADER, _model
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +161,63 @@ def test_bad_frame_size_error_names_the_value(frame_size):
     with pytest.raises(ValueError,
                        match=f"power of two >= 64: {frame_size}$"):
         VorbisLikeCodec(frame_size=frame_size)
+
+
+def test_frame_size_above_4096_is_rejected():
+    with pytest.raises(ValueError, match="at most 4096"):
+        VorbisLikeCodec(frame_size=8192)
+
+
+_FIELDS = ("codec", "quality", "channels", "log2n", "samples", "frames")
+
+
+def _with_header(blob: bytes, **fields) -> bytes:
+    header = dict(zip(_FIELDS, _HEADER.unpack_from(blob)))
+    header.update(fields)
+    return _HEADER.pack(*header.values()) + blob[_HEADER.size:]
+
+
+def _frame_size(header, log2n):
+    """A frame size, with the frame count that frame size gives."""
+    return dict(log2n=log2n, frames=-(-header["samples"] >> log2n) + 1)
+
+
+#: header fields a corrupted byte can set, each from the intact header
+#: ``h`` and the payload length; every one must fail in ``_parse``
+CORRUPT_HEADERS = {
+    "log2n below 6": lambda h, size: _frame_size(h, 5),
+    "log2n above 12": lambda h, size: _frame_size(h, 13),
+    "log2n 18": lambda h, size: _frame_size(h, 18),
+    "log2n 24": lambda h, size: _frame_size(h, 24),
+    "one frame more": lambda h, size: dict(frames=h["frames"] + 1),
+    "one frame fewer": lambda h, size: dict(frames=h["frames"] - 1),
+    "5000 frames": lambda h, size: dict(frames=5000),
+    "one frame more of samples": lambda h, size: dict(
+        samples=h["samples"] + 512),
+    "more frames than bytes": lambda h, size: dict(
+        samples=512 * size, frames=size + 1),
+    "255 channels": lambda h, size: dict(channels=255),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_HEADERS))
+def test_corrupt_header_fails_before_anything_is_sized(clip, case):
+    """A corrupted header raises in ``_parse``, before a psychoacoustic
+    model is built or even looked up: decode takes the speaker's
+    ``decode_failed`` path with the model cache untouched."""
+    codec = VorbisLikeCodec(quality=0, sample_rate=44100)
+    blob = codec.encode_block(clip[:1536])
+    header = dict(zip(_FIELDS, _HEADER.unpack_from(blob)))
+    fields = CORRUPT_HEADERS[case](header, len(blob))
+    bad = _with_header(blob, **fields)
+    channels = fields.get("channels", header["channels"])
+    frames = fields.get("frames", header["frames"])
+    if case == "255 channels":
+        assert channels * frames > len(bad)
+    before = _model.cache_info()
+    for params in (None, AudioParams(AudioEncoding.SLINEAR16, 44100, 1)):
+        with pytest.raises(ValueError, match="vorbislike"):
+            codec.decode_block(bad, params)
+    assert _model.cache_info() == before
+    # the intact block still decodes
+    assert codec.decode_block(blob).shape == (1536, 1)
