@@ -15,7 +15,7 @@ from repro.net.addr import is_multicast
 from repro.net.nic import Nic
 from repro.net.segment import Datagram
 from repro.sim.core import SimError, Simulator
-from repro.sim.resources import Queue, QueueClosed
+from repro.sim.resources import Queue
 
 
 @dataclass
@@ -66,11 +66,9 @@ class UdpSocket:
         # Datagrams still queued were delivered but never consumed: fold
         # them into the drop counter so the conservation ledger does not
         # leak when a receiver dies with a non-empty queue.
-        while True:
-            try:
-                item = self._rx.get_nowait()
-            except (IndexError, QueueClosed):
-                break
+        rx = self._rx
+        while len(rx):
+            item = rx.get_nowait()
             self.drops += 1
             if self.drop_hook is not None:
                 self.drop_hook(item.payload)

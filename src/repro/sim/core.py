@@ -139,8 +139,8 @@ class Simulator:
         clock only once the FIFO is empty.
         """
         if delay == 0.0:
-            self._seq += 1
-            self._fifo.append((self._seq, fn, args))
+            self._seq = seq = self._seq + 1
+            self._fifo.append((seq, fn, args))
             return
         if not 0.0 < delay < _INF:
             raise SimError(f"delay must be finite and >= 0: {delay}")
@@ -205,16 +205,14 @@ class Simulator:
         limit = _INF if until is None else until
         now = self._now
         while now <= limit:
-            if fifo:
-                top = heap[0] if heap else None
-                if (top is None or top[0] != now
-                        or top[1] > fifo[0][0]):
-                    _, fn, args = popleft()
-                    fn(*args)
-                    if unhandled:
-                        raise unhandled[0]
-                    continue
-            elif not heap:
+            # the FIFO's entries, until a heap entry due now comes first
+            while fifo and (not heap or heap[0][0] != now
+                            or heap[0][1] > fifo[0][0]):
+                _, fn, args = popleft()
+                fn(*args)
+                if unhandled:
+                    raise unhandled[0]
+            if not heap:
                 break
             time, seq, fn, args, handle = pop(heap)
             if handle is not None and handle.cancelled:
