@@ -5,8 +5,8 @@ Speakers" (§2.3): the wire cost of a multicast stream is independent of the
 audience size.  The simulator's *host* cost was not — every speaker decoded
 every block privately and every receiver copy was its own heap event.  The
 fan-out fast path (shared-decode cache + zero-copy parsing + batched
-delivery + zero-delay hops run from the event loop's next-entry slot
-instead of the queue) makes host
+delivery + zero-delay hops run from the event loop's now-FIFO instead
+of the heap) makes host
 wall-clock scale like the wire.
 
 This benchmark sweeps speakers × stream-seconds and emits

@@ -29,7 +29,7 @@ def deliver_batch(nics, dgram) -> None:
     """One scheduled event fanning a frame out to every receiver that
     shares the same delivery time (the multicast fast path).  A reader
     woken by one receiver's copy runs after the batch, from the loop's
-    next-entry slot or the queue, never between two copies."""
+    now-FIFO, never between two copies."""
     for nic in nics:
         nic.deliver(dgram)
 

@@ -188,8 +188,8 @@ class Process:
 
     def _resume(self, value: Any, exc: Optional[BaseException] = None):
         """Resume the generator with ``value`` (or by raising ``exc`` in
-        it) at this instant, via a zero-delay hop through the loop (the
-        next-entry slot, when nothing else is due now)."""
+        it) at this instant, via a zero-delay hop through the loop's
+        now-FIFO."""
         if not self.alive:
             return
         if _gc_wakes is not None:

@@ -109,8 +109,8 @@ class ClockModel(RuleBasedStateMachine):
     Entries are cancellable (``schedule``) or transient
     (``schedule_transient``), at zero or positive delay, and a callback
     may queue zero-delay follow-ons, which may queue their own.  Those
-    land in the loop's next-entry slot, inside ``run()``/``step()`` or,
-    when scheduled between runs, outside them.  ``step()`` and
+    land in the loop's now-FIFO, inside ``run()``/``step()`` or, when
+    scheduled between runs, outside them.  ``step()`` and
     ``run(until)`` interleave, ``until`` sometimes in the past.
     """
 
