@@ -181,7 +181,7 @@ class EntityAdvertiser:
         """
         sock = self._sock
         if sock is None and self.stack is not None:
-            # never started: a socket for this one packet, closed below
+            # not running: a socket for this one packet, closed below
             sock = self._sock = self.stack.socket()
         if sock is not None:
             self.available_index = (
