@@ -30,7 +30,7 @@ def test_restarted_advertiser_keeps_its_listener(leave):
     sockets = adv.stack._sockets
     seen = {}
 
-    def driver():
+    def scenario():
         yield Sleep(0.5)
         seen["base"] = len(sockets)
         for _ in range(RESTARTS):
@@ -50,7 +50,7 @@ def test_restarted_advertiser_keeps_its_listener(leave):
         seen["census"] = system.sim.now - 1.3
         seen["solicited"] = adv.stats.solicited - solicited
 
-    proc = Process.spawn(system.sim, driver())
+    proc = Process.spawn(system.sim, scenario())
     system.run(until=3.0)
     assert proc.exception is None
     assert seen["stopped"] == seen["base"] - 2
