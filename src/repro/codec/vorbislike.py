@@ -89,7 +89,6 @@ class VorbisLikeCodec(BlockCodec):
         #: Rice-coded residue (smaller, FLAC-style).  The decoder handles
         #: both regardless of this setting — each band is tagged.
         self.entropy = entropy
-        self._log2n = frame_size.bit_length() - 1
 
     def batch_key(self, op: str):
         """Decoding needs only the sample rate (each block's header

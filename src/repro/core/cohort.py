@@ -234,7 +234,6 @@ class SpeakerCohort:
         self._backplane = _CohortBackplane()
         self._speaker_kwargs = kwargs
         self._cpu_freq_hz = cpu_freq_hz
-        self._block_seconds = block_seconds
         machine = Machine(sim, f"{name}-ex", cpu_freq_hz=cpu_freq_hz)
         machine.attach_network(self._backplane, ip, vlan=vlan)
         self._ex_sink = SpeakerSink(f"{name}-ex/speaker")

@@ -194,21 +194,26 @@ class Rebroadcaster:
         machine = self.machine
         fd = yield from machine.sys_open(self.master_path)
         sock = machine.net.socket()
-        while True:
-            try:
-                record = yield from machine.sys_read(fd, 65536)
-            except QueueClosed:
-                return
-            self.stats.records_in += 1
-            if record.kind == "config":
-                # do NOT announce yet: an application may configure long
-                # before it produces audio (prebuffering radio clients).
-                # The control packet goes out right before the first data
-                # packet so speakers anchor on the actual schedule.
-                self._configure(record.params)
-                self._need_control = True
-            else:
-                yield from self._handle_data(sock, record.payload)
+        try:
+            while True:
+                try:
+                    record = yield from machine.sys_read(fd, 65536)
+                except QueueClosed:
+                    return
+                self.stats.records_in += 1
+                if record.kind == "config":
+                    # do NOT announce yet: an application may configure long
+                    # before it produces audio (prebuffering radio clients).
+                    # The control packet goes out right before the first data
+                    # packet so speakers anchor on the actual schedule.
+                    self._configure(record.params)
+                    self._need_control = True
+                else:
+                    yield from self._handle_data(sock, record.payload)
+        finally:
+            # each incarnation opens its own socket; a restart must not
+            # leave the dead one bound
+            sock.close()
 
     def _configure(self, params: AudioParams) -> None:
         self._params = params

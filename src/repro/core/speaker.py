@@ -243,15 +243,7 @@ class EthernetSpeaker:
             self.machine.net.nic.leave_group(self.group_ip)
         self.group_ip = group_ip
         self.port = port
-        self._anchor = None
-        self._params = None
-        self._playing_started = False
-        self._decoder = None
-        self._decoder_key = None
-        self._epoch = None
-        self._write_base += self._bytes_written
-        self._bytes_written = 0
-        self._reset_stream_state()
+        self._new_session()
         if self._proc is not None:
             self._proc.kill()
             self.start()
@@ -318,6 +310,12 @@ class EthernetSpeaker:
             self._sock.close()
         self._sock = None
         self._crashed = False
+        self._new_session()
+        return self.start()
+
+    def _new_session(self) -> None:
+        """The session reset :meth:`retune` and :meth:`restart` share
+        (what it forgets is listed in :meth:`retune`)."""
         self._anchor = None
         self._params = None
         self._playing_started = False
@@ -327,7 +325,6 @@ class EthernetSpeaker:
         self._write_base += self._bytes_written
         self._bytes_written = 0
         self._reset_stream_state()
-        return self.start()
 
     def _reset_stream_state(self) -> None:
         """Forget per-stream sequencing and concealment context.

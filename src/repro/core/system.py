@@ -212,7 +212,6 @@ class EthernetSpeakerSystem:
         self._mirrors: Dict[int, List[ProducerNode]] = {}
         self._next_host = 1
         self._next_channel = 1
-        self._next_vad = 0
         self._next_mgmt_host = 1
         self._next_entity = 1
 
@@ -723,24 +722,14 @@ class EthernetSpeakerSystem:
         agent.on_connected = on_connected
         agent.on_disconnected = on_disconnected
         node.agent = agent
-        advertiser = EntityAdvertiser(
-            node.machine,
-            entity_id,
-            entity_kind=ENTITY_SPEAKER,
-            name=speaker.name,
-            probe=speaker.healthy,
-            valid_time=valid_time,
-            interval=interval,
+        return self._advertise(
+            node, node.machine, entity_id, ENTITY_SPEAKER, speaker.name,
+            speaker.healthy, valid_time, interval,
             channel_id_fn=lambda: (
                 node.channel.channel_id if node.channel is not None else 0
             ),
             mgmt_port=MGMT_PORT,
-            telemetry=self.telemetry,
         )
-        advertiser.start()
-        node.advertiser = advertiser
-        self.advertisers.append(advertiser)
-        return advertiser
 
     def advertise_rebroadcaster(
         self,
@@ -752,23 +741,12 @@ class EthernetSpeakerSystem:
     ) -> EntityAdvertiser:
         """Advertise a talker.  Restart/failover epoch bumps advance the
         serial so registries see the state change immediately."""
-        self._attach_mgmt(rb.machine)
-        advertiser = EntityAdvertiser(
-            rb.machine,
-            self._next_entity_id(),
-            entity_kind=entity_kind,
-            name=name or rb.name,
-            probe=rb.healthy,
-            valid_time=valid_time,
-            interval=interval,
+        return self._advertise(
+            rb, rb.machine, self._next_entity_id(), entity_kind,
+            name or rb.name, rb.healthy, valid_time, interval,
             channel_id_fn=lambda: rb.channel.channel_id,
             epoch_fn=lambda: rb.epoch,
-            telemetry=self.telemetry,
         )
-        advertiser.start()
-        rb.advertiser = advertiser
-        self.advertisers.append(advertiser)
-        return advertiser
 
     def advertise_standby(
         self,
@@ -795,20 +773,31 @@ class EthernetSpeakerSystem:
         """Advertise a WAN relay.  The advert runs on the relay's
         management proxy box (see :meth:`_host_of`), whose probe asks the
         relay's ``healthy()``."""
-        machine = self._host_of(relay)
+        return self._advertise(
+            relay, self._host_of(relay), self._next_entity_id(), ENTITY_RELAY,
+            relay.name, relay.healthy, valid_time, interval,
+        )
+
+    def _advertise(
+        self, subject, machine, entity_id, entity_kind, name, probe,
+        valid_time, interval, **state_fns,
+    ) -> EntityAdvertiser:
+        """Start an advertiser for ``subject`` on ``machine``'s management
+        NIC (attached here if it is not yet) and record it on both."""
         self._attach_mgmt(machine)
         advertiser = EntityAdvertiser(
             machine,
-            self._next_entity_id(),
-            entity_kind=ENTITY_RELAY,
-            name=relay.name,
-            probe=relay.healthy,
+            entity_id,
+            entity_kind=entity_kind,
+            name=name,
+            probe=probe,
             valid_time=valid_time,
             interval=interval,
             telemetry=self.telemetry,
+            **state_fns,
         )
         advertiser.start()
-        relay.advertiser = advertiser
+        subject.advertiser = advertiser
         self.advertisers.append(advertiser)
         return advertiser
 

@@ -67,7 +67,6 @@ class Machine:
         self.net: Optional[NetworkStack] = None
         self.mgmt_net: Optional[NetworkStack] = None
         self.nvram: Dict[str, Any] = {}
-        self.processes: list[Process] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Machine {self.name}>"
@@ -106,9 +105,7 @@ class Machine:
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a user process on this machine."""
-        proc = Process.spawn(self.sim, gen, name or f"{self.name}/proc")
-        self.processes.append(proc)
-        return proc
+        return Process.spawn(self.sim, gen, name or f"{self.name}/proc")
 
     def start_housekeeping(
         self, wakes_per_second: float = 2.0, cycles: float = 40_000.0

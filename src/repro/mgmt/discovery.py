@@ -150,10 +150,12 @@ class EntityAdvertiser:
         self._last_epoch: Optional[int] = None
         self._was_alive = False
         self._proc: Optional[Process] = None
-        #: the advertising socket and the ENTITY_DISCOVER listener
-        self._sock = self._lsock = None
+        #: the one discovery socket, opened on first use and kept for the
+        #: advertiser's whole life (see :meth:`_socket`)
+        self._sock = None
 
     def start(self) -> Process:
+        """Start an incarnation on the advertiser's one socket."""
         self._proc = self.machine.spawn(
             self._run(), name=f"{self.machine.name}/adp"
         )
@@ -161,16 +163,10 @@ class EntityAdvertiser:
 
     def stop(self) -> None:
         """Silent stop (the advertiser itself dying); the lease lapses.
-
-        Both sockets are closed now: a kill cannot land inside a CPU
-        slice, and a restart must find the discovery port free."""
+        The socket stays open for the next incarnation."""
         if self._proc is not None:
             self._proc.kill()
             self._proc = None
-        for sock in (self._sock, self._lsock):
-            if sock is not None:
-                sock.close()
-        self._sock = self._lsock = None
 
     def depart(self) -> None:
         """Clean shutdown: one best-effort ENTITY_DEPARTING, then stop.
@@ -179,15 +175,11 @@ class EntityAdvertiser:
         so registries can drop the entity immediately instead of waiting
         out the lease.
         """
-        sock = self._sock
-        if sock is None and self.stack is not None:
-            # not running: a socket for this one packet, closed below
-            sock = self._sock = self.stack.socket()
-        if sock is not None:
+        if self.stack is not None:
             self.available_index = (
                 self.available_index + 1
             ) % AVAILABLE_INDEX_MOD
-            sock.sendto(
+            self._socket().sendto(
                 self._packet(ADP_DEPARTING).encode(), (self.group, self.port)
             )
             self.stats.departs += 1
@@ -197,11 +189,11 @@ class EntityAdvertiser:
         """External state change (driven restart, failover): advance the
         index and advertise immediately instead of waiting out the tick.
         Management-plane callers only — no CPU is charged here."""
-        if self._sock is None or not self.probe():
+        if self._proc is None or not self.probe():
             return
         self.available_index = (self.available_index + 2) % AVAILABLE_INDEX_MOD
         self.stats.state_bumps += 1
-        self._transmit(self._sock)
+        self._transmit(self._socket())
 
     def _packet(self, message_type: int) -> AdpPacket:
         self._seq += 1
@@ -224,23 +216,27 @@ class EntityAdvertiser:
         )
         self.stats.advertises += 1
 
-    def _open_solicit_listener(self):
-        """Bind the discovery port and join the solicitation group.
+    def _socket(self):
+        """The advertiser's discovery socket, opened on first use.
 
-        Multicast delivery is destination-port keyed, so hearing a
-        controller's ENTITY_DISCOVER requires owning the discovery port
-        on this machine.  If another process already holds it (a second
+        It is bound to the discovery port and joined to the solicitation
+        group, so it both sends adverts and DEPARTING and hears
+        ENTITY_DISCOVER: multicast delivery is destination-port keyed, so
+        hearing a controller's solicitation requires owning the port on
+        this machine.  If another socket already holds it (a second
         advertiser on the same box, or a co-located controller), this
-        advertiser degrades gracefully to periodic-only: leases still
-        refresh on cadence, the fleet just answers cold censuses a tick
-        slower from this node.
+        advertiser degrades gracefully to an unbound socket and
+        periodic-only adverts: leases still refresh on cadence, the
+        fleet just answers cold censuses a tick slower from this node.
         """
-        try:
-            lsock = self.stack.socket(self.port)
-        except SimError:
-            return None
-        lsock.join_multicast(DISCOVERY_SOLICIT_GROUP)
-        return lsock
+        if self._sock is None:
+            try:
+                self._sock = self.stack.socket(self.port)
+            except SimError:
+                self._sock = self.stack.socket()
+            else:
+                self._sock.join_multicast(DISCOVERY_SOLICIT_GROUP)
+        return self._sock
 
     @staticmethod
     def _is_discover(msg) -> bool:
@@ -254,8 +250,12 @@ class EntityAdvertiser:
         )
 
     def _run(self):
-        sock = self._sock = self.stack.socket()
-        lsock = self._lsock = self._open_solicit_listener()
+        sock = self._socket()
+        listening = sock.port == self.port
+        # solicitations that reached the socket while no incarnation ran
+        # found no one listening: drain them unanswered
+        while sock.queued:
+            sock.recv_nowait()
         while True:
             alive = self.probe()
             if alive:
@@ -288,7 +288,7 @@ class EntityAdvertiser:
             else:
                 self.stats.suppressed += 1
                 self._was_alive = False
-            if lsock is None:
+            if not listening:
                 yield Sleep(self.interval)
                 continue
             # sleep out the tick, but wake early for ENTITY_DISCOVER: a
@@ -300,7 +300,7 @@ class EntityAdvertiser:
                 if remaining <= 0:
                     break
                 try:
-                    msg = yield Timeout(lsock.recv(), remaining)
+                    msg = yield Timeout(sock.recv(), remaining)
                 except TimeoutError:
                     break
                 if self._is_discover(msg):

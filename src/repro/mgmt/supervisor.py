@@ -197,7 +197,6 @@ class Supervisor:
     # -- the management-plane scan -------------------------------------------
 
     def _scan(self):
-        tel = self.telemetry
         deadline = self.heartbeat_interval * self.miss_threshold
         while True:
             yield Sleep(self.heartbeat_interval)
@@ -210,19 +209,7 @@ class Supervisor:
                         health.status = UP
                     continue
                 health.missed += 1
-                if health.status != DOWN:
-                    health.status = DOWN
-                    self._nodes_down += 1
-                    tel.tracer.instant(
-                        "supervisor.down", track=self.name, node=name,
-                    )
-                restart = self._restarts[name]
-                if restart is not None and self.restart_delay is not None:
-                    health.restart_pending = True
-                    health.status = RESTARTING
-                    self.sim.schedule(
-                        self.restart_delay, self._do_restart, name
-                    )
+                self._mark_down(name, health, "supervisor.down")
 
     def notify_lease_expired(self, name: str) -> bool:
         """Second health signal: a discovery lease lapsed for ``name``.
@@ -242,18 +229,21 @@ class Supervisor:
         if self._probes[name]():
             return False          # lease lapse was transient; node is fine
         health.lease_expiries += 1
+        self._mark_down(name, health, "supervisor.lease_expired")
+        return True
+
+    def _mark_down(self, name: str, health: NodeHealth, event: str) -> None:
+        """The one down path both signals share: mark ``name`` down
+        (tracing ``event`` on the transition) and, when it has a restart
+        action, latch ``restart_pending`` and schedule the restart."""
         if health.status != DOWN:
             health.status = DOWN
             self._nodes_down += 1
-            self.telemetry.tracer.instant(
-                "supervisor.lease_expired", track=self.name, node=name,
-            )
-        restart = self._restarts[name]
-        if restart is not None and self.restart_delay is not None:
+            self.telemetry.tracer.instant(event, track=self.name, node=name)
+        if self._restarts[name] is not None and self.restart_delay is not None:
             health.restart_pending = True
             health.status = RESTARTING
             self.sim.schedule(self.restart_delay, self._do_restart, name)
-        return True
 
     def _do_restart(self, name: str) -> None:
         health = self.nodes[name]

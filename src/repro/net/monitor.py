@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.metrics.telemetry import get_telemetry
 from repro.net.segment import Datagram, EthernetSegment
@@ -36,7 +36,6 @@ class BandwidthMonitor:
         self.total_payload_bytes = 0
         self.frames = 0
         self.per_flow_bytes: Dict[Tuple[str, int], int] = defaultdict(int)
-        self._samples: List[Tuple[float, int]] = []
         segment.add_tap(self._on_frame)
 
     def _on_frame(self, dgram: Datagram) -> None:

@@ -519,14 +519,16 @@ class WanHop:
         """Track the gap positions in ``[_next, _next + d)``."""
         # the sender's ring only holds RETRANSMIT_BUFFER frames: a wider
         # gap (e.g. across relay downtime) is unrecoverable up front —
-        # skip the hopeless prefix instead of NACKing into the void
-        hopeless = max(0, d - self.RETRANSMIT_BUFFER)
-        for _ in range(hopeless):
-            if self._next in self._hold or self._next in self._missing:
-                break
-            self.stats.abandoned += 1
-            self._next = (self._next + 1) % SEQ_MOD
-            d -= 1
+        # skip the hopeless prefix instead of NACKing into the void, in
+        # one step that stops at the first parked or missing position
+        hopeless = d - self.RETRANSMIT_BUFFER
+        if hopeless > 0:
+            for known in (self._hold, self._missing):
+                for pos in known:
+                    hopeless = min(hopeless, seq_delta(pos, self._next))
+            self.stats.abandoned += hopeless
+            self._next = (self._next + hopeless) % SEQ_MOD
+            d -= hopeless
         now = self.sim.now
         deadline = now + self.recover_timeout
         fresh = []

@@ -54,7 +54,6 @@ class CpuStats:
 class _CpuJob(Waitable):
     def __init__(self, cpu: "CPU", cycles: float, domain: str, owner):
         self.cpu = cpu
-        self.cycles = float(cycles)
         self.remaining = float(cycles)
         self.domain = domain
         self.owner = owner

@@ -1,0 +1,44 @@
+"""A restarted producer releases the socket of the incarnation it ends.
+
+``Rebroadcaster._run`` opens a socket per incarnation; its ``finally``
+closes it, so neither ``crash()`` nor ``restart()`` leaves a dead
+incarnation's socket bound on the producer's stack.
+"""
+
+from repro.audio import AudioEncoding, AudioParams
+from repro.core import EthernetSpeakerSystem
+from repro.sim.process import Process, Sleep
+
+LOW = AudioParams(AudioEncoding.SLINEAR16, 8000, 1)
+RESTARTS = 5
+
+
+def test_restarts_keep_the_producer_socket_count():
+    system = EthernetSpeakerSystem()
+    producer = system.add_producer()
+    channel = system.add_channel("hall", params=LOW, compress="never")
+    rb = system.add_rebroadcaster(producer, channel, control_interval=0.5)
+    node = system.add_speaker(channel=channel)
+    system.play_synthetic(producer, 4.0, LOW)
+    sockets = producer.machine.net._sockets
+    seen = {"counts": []}
+
+    def scenario():
+        yield Sleep(0.5)
+        seen["base"] = len(sockets)
+        for _ in range(RESTARTS):
+            rb.restart()
+            yield Sleep(0.3)
+            seen["counts"].append(len(sockets))
+        rb.crash()
+        yield Sleep(0.1)
+        seen["crashed"] = len(sockets)
+
+    proc = Process.spawn(system.sim, scenario())
+    system.run(until=3.0)
+    assert proc.exception is None
+    assert seen["base"] == 1
+    assert seen["counts"] == [seen["base"]] * RESTARTS
+    assert seen["crashed"] == 0
+    # every incarnation streamed: the speaker kept playing
+    assert node.stats.played > 0
