@@ -15,14 +15,10 @@ seed — against the committed baseline
 than 25 %.  The same run must also match the baseline's headline counts
 exactly — events executed, adverts, departs, expiries and live entities
 at the end — so a speed-up that changes what the control plane does
-fails here even when it stays inside the 25 %.  The baseline's
-``events_per_op`` dates from an older commit than its exact counts, so
-the two do not divide into each other; at the headline rate the exact
-``events_executed`` check already pins events per op, and the 25 % gate
-cannot fail there on its own.  The headline run under the hop oracle
-(``tests/oracles/sim.py``: every hop and CPU dispatch queued) must
-execute exactly the baseline's ``hop_oracle_events_executed`` and match
-its other exact counts.
+fails here even when it stays inside the 25 %.  The headline run under
+the hop oracle (``tests/oracles/sim.py``: every hop and CPU dispatch
+queued) must execute exactly the baseline's
+``hop_oracle_events_executed`` and match its other exact counts.
 """
 
 import json

@@ -4,7 +4,9 @@ Implemented the standard way: fold the 2N windowed samples to N points and
 take an orthonormal DCT-IV (via scipy).  With the sine window (which
 satisfies the Princen–Bradley condition) consecutive 50 %-overlapped frames
 reconstruct the interior of the signal exactly — the time-domain alias
-cancellation property every MDCT codec rests on.
+cancellation property every MDCT codec rests on.  SciPy is imported at
+the first transform, so a process that never runs the codec (raw PCM
+channels, the control plane) never maps it.
 
 ``mdct_analysis``/``mdct_synthesis`` operate on self-contained blocks: the
 block is zero-padded by half a frame on each side, so every packet on the
@@ -19,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.fft import dct
 
 
 @lru_cache(maxsize=8)
@@ -54,11 +55,15 @@ def _unfold(folded: np.ndarray) -> np.ndarray:
 
 def mdct(frames: np.ndarray) -> np.ndarray:
     """MDCT of already-windowed 2N-sample frames -> N coefficients each."""
+    from scipy.fft import dct
+
     return dct(_fold(frames), type=4, axis=-1, norm="ortho")
 
 
 def imdct(coeffs: np.ndarray) -> np.ndarray:
     """Inverse MDCT -> 2N time samples per frame (before windowing/OLA)."""
+    from scipy.fft import dct
+
     return _unfold(dct(coeffs, type=4, axis=-1, norm="ortho"))
 
 

@@ -18,7 +18,6 @@ import struct
 from functools import partial
 
 import numpy as np
-from scipy.fft import dct, idct
 
 from repro.codec.base import BlockCodec, CodecID, register_codec
 from repro.codec.batch import decode_bands_batched, encode_bands_batched
@@ -79,6 +78,8 @@ class Mp3LikeCodec(BlockCodec):
     def _analyse(self, samples: np.ndarray):
         """The block header, the DCT spectra in wire order (every block
         of channel 0, then channel 1) and the per-band widths."""
+        from scipy.fft import dct
+
         x = np.asarray(samples, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
@@ -102,6 +103,8 @@ class Mp3LikeCodec(BlockCodec):
 
     def _decode(self, data: bytes, decode_bands) -> np.ndarray:
         """Header, then every channel's spectra through ``decode_bands``."""
+        from scipy.fft import idct
+
         codec, channels, kbps, num_samples = _HEADER.unpack_from(data, 0)
         if codec != int(self.codec_id):
             raise ValueError(f"not an mp3like block (codec id {codec})")

@@ -211,9 +211,11 @@ class Rebroadcaster:
                 else:
                     yield from self._handle_data(sock, record.payload)
         finally:
-            # each incarnation opens its own socket; a restart must not
-            # leave the dead one bound
+            # each incarnation opens its own socket and master fd; a
+            # restart must leave neither behind.  The fd goes as an
+            # exiting process's descriptors do, with no syscall charge.
             sock.close()
+            machine.close_direct(fd)
 
     def _configure(self, params: AudioParams) -> None:
         self._params = params

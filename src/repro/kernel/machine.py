@@ -186,6 +186,15 @@ class Machine:
 
     def sys_close(self, fd: int):
         yield self.cpu.run(self.syscall_cycles, domain="sys")
+        self.close_direct(fd)
+
+    def close_direct(self, fd: int) -> None:
+        """Release ``fd`` with no syscall charge.
+
+        The descriptor teardown of a process that exits (or is killed)
+        without calling ``close``: the kernel drops its fds on the way
+        out, and no trap of the dying process is charged.
+        """
         entry = self._fds.pop(fd, None)
         if entry is not None:
             entry.device.close(entry.handle)

@@ -1,8 +1,10 @@
-"""A restarted producer releases the socket of the incarnation it ends.
+"""A restarted producer releases the socket and fd of the incarnation
+it ends.
 
-``Rebroadcaster._run`` opens a socket per incarnation; its ``finally``
-closes it, so neither ``crash()`` nor ``restart()`` leaves a dead
-incarnation's socket bound on the producer's stack.
+``Rebroadcaster._run`` opens a socket and the VAD master fd per
+incarnation; its ``finally`` closes both, so neither ``crash()`` nor
+``restart()`` leaves a dead incarnation's socket bound on the producer's
+stack or its fd in the machine's table.
 """
 
 from repro.audio import AudioEncoding, AudioParams
@@ -20,25 +22,31 @@ def test_restarts_keep_the_producer_socket_count():
     rb = system.add_rebroadcaster(producer, channel, control_interval=0.5)
     node = system.add_speaker(channel=channel)
     system.play_synthetic(producer, 4.0, LOW)
-    sockets = producer.machine.net._sockets
+    machine = producer.machine
+    sockets = machine.net._sockets
     seen = {"counts": []}
+
+    def counts():
+        return len(sockets), len(machine._fds)
 
     def scenario():
         yield Sleep(0.5)
-        seen["base"] = len(sockets)
+        seen["base"] = counts()
         for _ in range(RESTARTS):
             rb.restart()
             yield Sleep(0.3)
-            seen["counts"].append(len(sockets))
+            seen["counts"].append(counts())
         rb.crash()
         yield Sleep(0.1)
-        seen["crashed"] = len(sockets)
+        seen["crashed"] = counts()
 
     proc = Process.spawn(system.sim, scenario())
     system.run(until=3.0)
     assert proc.exception is None
-    assert seen["base"] == 1
+    # one socket; the player's slave fd and the producer's master fd
+    assert seen["base"] == (1, 2)
     assert seen["counts"] == [seen["base"]] * RESTARTS
-    assert seen["crashed"] == 0
+    # the player's fd stays open; the producer's socket and fd are gone
+    assert seen["crashed"] == (0, 1)
     # every incarnation streamed: the speaker kept playing
     assert node.stats.played > 0

@@ -14,14 +14,21 @@ its ``"small"`` size for seeds 1-3, and every row of
 * ``events``: the simulator's executed events, kept apart from the rest,
   so a change that moves only the event count moves one number
 
+The runs must not depend on when Python's garbage collector runs: each
+row also matches with the collector off, and with a full
+``gc.collect()`` forced from simulator callbacks at seeded instants
+(``events`` then counts net of those callbacks).
+
 Regenerate the file after a change that is meant to move a run::
 
     PYTHONPATH=src python -m tests.test_run_goldens
 """
 
+import gc
 import hashlib
 import json
 import math
+import random
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -33,6 +40,8 @@ from tests.test_perfbench_counts import workloads
 GOLDENS = Path(__file__).resolve().parent / "goldens" / "runs.json"
 CASES = [(name, seed) for name in ("station", "churn", "audience")
          for seed in (1, 2, 3)]
+#: full collections forced per run by the collector variant
+FORCED_COLLECTIONS = 40
 
 
 @contextmanager
@@ -67,12 +76,35 @@ def _hash(text: str) -> str:
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
-def run_row(name: str, seed: int) -> dict:
-    """Run one workload at its small size; return its golden row."""
+def _force_collections(sim, until: float, count: int, seed) -> list:
+    """Schedule ``count`` full collections at seeded instants before
+    ``until``; returns the list each one appends its clock to."""
+    fired = []
+
+    def collect():
+        gc.collect()
+        fired.append(sim.now)
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        sim.schedule(rng.uniform(0.0, until), collect)
+    return fired
+
+
+def run_row(name: str, seed: int, collections: int = 0) -> dict:
+    """Run one workload at its small size; return its golden row.
+
+    With ``collections``, that many full collections are forced from
+    simulator callbacks at seeded instants, and ``events`` is counted
+    net of those callbacks.
+    """
     inputs = workloads.make_inputs(name, seed, size="small")
     with _every_cpu() as cpus:
         built = workloads.build(inputs)
+        fired = _force_collections(built.system.sim, inputs.until,
+                                   collections, f"gc/{name}/{seed}")
         built.system.run(until=inputs.until)
+    assert len(fired) == collections
     sim = built.system.sim
     plays = hashlib.blake2b(digest_size=16)
     writes = hashlib.blake2b(digest_size=16)
@@ -92,7 +124,7 @@ def run_row(name: str, seed: int) -> dict:
             "jobs_completed": sum(s.jobs_completed for s in stats),
         },
         "now": sim.now,
-        "events": sim.events_executed,
+        "events": sim.events_executed - collections,
     }
 
 
@@ -104,6 +136,31 @@ def _committed() -> dict:
 @pytest.mark.parametrize("name,seed", CASES)
 def test_run_matches_its_golden(name, seed):
     assert run_row(name, seed) == _committed()[name, seed]
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_run_matches_its_golden_with_gc_disabled(name, seed):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        row = run_row(name, seed)
+    finally:
+        if enabled:
+            gc.enable()
+    assert row == _committed()[name, seed]
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_run_matches_its_golden_with_forced_collections(name, seed):
+    # Everything the test session made so far is frozen out of the
+    # collector, so each forced collection walks only this run's objects.
+    gc.collect()
+    gc.freeze()
+    try:
+        row = run_row(name, seed, collections=FORCED_COLLECTIONS)
+    finally:
+        gc.unfreeze()
+    assert row == _committed()[name, seed]
 
 
 def test_goldens_cover_every_case():
